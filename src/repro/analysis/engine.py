@@ -17,7 +17,16 @@ import pickle
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.markers import (
     Directive,
@@ -59,10 +68,10 @@ class Finding:
 
 @dataclass
 class FunctionRecord:
-    """One function or method in a scanned module."""
+    """One function, method or coroutine in a scanned module."""
 
     module: "ModuleInfo"
-    node: ast.FunctionDef
+    node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
     qualname: str
     class_name: Optional[str]
     nested: bool = False  # defined inside another function's body
@@ -369,11 +378,10 @@ def _index_definitions(module: ModuleInfo) -> None:
                 module.classes.append(child)
                 visit(child, child.name, in_function)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if isinstance(child, ast.FunctionDef):
-                    qual = f"{class_name}.{child.name}" if class_name else child.name
-                    module.functions.append(
-                        FunctionRecord(module, child, qual, class_name, in_function)
-                    )
+                qual = f"{class_name}.{child.name}" if class_name else child.name
+                module.functions.append(
+                    FunctionRecord(module, child, qual, class_name, in_function)
+                )
                 visit(child, class_name, True)
             else:
                 visit(child, class_name, in_function)

@@ -45,7 +45,8 @@ MODULE_DIRECTIVES = frozenset(
         "exception-registry",
         # Code in this module runs on the gateway's asyncio event loop:
         # GATE001 rejects anything that would block it (bare
-        # time.sleep, sync socket I/O, lock acquire()).
+        # time.sleep, sync socket I/O, lock acquire()) or hand a
+        # request to a thread (pool submit, wrap_future).
         "gateway-path",
     }
 )

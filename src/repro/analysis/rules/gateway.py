@@ -1,13 +1,17 @@
-"""Event-loop blocking lint for gateway modules (GATE001).
+"""Event-loop discipline lint for gateway modules (GATE001).
 
-The query gateway (:mod:`repro.gateway`) runs its whole admission /
-queue / dispatch pipeline on one asyncio event loop.  A single
-blocking call anywhere on that path stalls *every* tenant at once --
-admission decisions, queue drains, response writes -- which is exactly
-the kind of whole-service latency cliff the gateway exists to prevent.
-Blocking work belongs behind the awaitable submission seam
-(``backend.submit(...)`` + ``asyncio.wrap_future``) or an explicit
-executor offload.
+The query gateway (:mod:`repro.gateway`) runs a request to completion
+on one asyncio event loop: admission, dispatch slot, backend call,
+response write.  A single blocking call anywhere on that path stalls
+*every* tenant at once -- which is exactly the kind of whole-service
+latency cliff the gateway exists to prevent -- and a thread hand-off
+per request costs two cross-thread wake-ups for no concurrency the
+loop did not already have.  Work that may leave the loop belongs
+behind the one awaitable backend seam, ``await
+backend.call_async(method, *args, **kwargs)``: a remote
+``ZipGClient`` implements it on the loop itself (asyncio streams), a
+local cluster -- whose calls are CPU work -- behind its own submission
+pool.
 
 Modules opt in with ``# zipg: gateway-path``.  In such modules the
 rule flags calls that block the calling thread:
@@ -21,7 +25,10 @@ rule flags calls that block the calling thread:
   runs;
 * lock ``.acquire(...)`` -- in asyncio code a lock is taken with
   ``async with``; a literal ``acquire()`` is either a thread lock
-  (blocks the loop) or an unidiomatic asyncio lock.
+  (blocks the loop) or an unidiomatic asyncio lock;
+* thread hand-offs -- ``<pool>.submit(...)``, ``run_in_executor(...)``
+  and ``wrap_future(...)``: the gateway path does not own a pool; it
+  awaits the backend seam.
 
 A function that intentionally performs blocking work off-loop (a
 thread entry point, a ``run_in_executor`` target) opts out with
@@ -51,6 +58,13 @@ BLOCKING_SOCKET_CALLS = frozenset({
     "sendto",
 })
 
+#: Calls that move a request onto (or back from) a pool thread.
+THREAD_HANDOFF_CALLS = frozenset({
+    "run_in_executor",
+    "submit",
+    "wrap_future",
+})
+
 
 def _blocking_reason(node: ast.Call) -> Optional[str]:
     """Why this call blocks the event loop, or ``None`` if it doesn't."""
@@ -72,11 +86,15 @@ def _blocking_reason(node: ast.Call) -> Optional[str]:
     if func.attr == "create_connection":
         return ("'create_connection(...)' performs a blocking connect -- "
                 "use asyncio.open_connection (or keep sockets behind the "
-                "submission seam)")
+                "backend seam)")
     if func.attr in BLOCKING_SOCKET_CALLS:
         return (f"synchronous socket call '.{func.attr}(...)' blocks the "
                 f"event loop -- use the asyncio stream helpers "
                 f"(repro.server.ipc.send_frame_async/recv_frame_async)")
+    if func.attr in THREAD_HANDOFF_CALLS:
+        return (f"'.{func.attr}(...)' hands the request to another "
+                f"thread -- await the backend seam "
+                f"(backend.call_async) instead")
     if func.attr == "acquire":
         return ("lock '.acquire(...)' blocks the event loop -- take "
                 "asyncio locks with 'async with', and keep thread locks "
@@ -87,7 +105,8 @@ def _blocking_reason(node: ast.Call) -> Optional[str]:
 @rule(
     "GATE001",
     "modules marked '# zipg: gateway-path' must not block the event "
-    "loop (no time.sleep, sync socket I/O, or lock acquire())",
+    "loop or hand requests to threads (no time.sleep, sync socket I/O, "
+    "lock acquire(), pool submit / wrap_future)",
 )
 def check_gateway_blocking(context: AnalysisContext) -> Iterator[Finding]:
     for module in context.modules:

@@ -6,8 +6,13 @@ from a *threaded entry point*:
 
 * callables fanned out through ``<executor>.map(...)`` /
   ``map_shared(...)`` (the ShardExecutor worker pool);
-* ``threading.Thread(target=...)`` targets and ``.submit(...)``
-  arguments (the RpcServerBase accept/reader/worker threads);
+* ``threading.Thread(target=...)`` targets (the RpcServerBase accept
+  and per-connection threads, which run each request to completion)
+  and ``.submit(...)`` arguments;
+* methods named by a string literal through the awaitable backend
+  seam -- ``backend.call_async("edge_count", ...)`` /
+  ``cluster.submit("edge_count", ...)`` run that method on the
+  cluster's submission pool;
 * loader callables passed to a cache's ``get_or_load``.
 
 Starting from those entries with an empty lockset, the analysis
@@ -51,9 +56,10 @@ from repro.analysis.rules.locks import (
     discover_lock_owners,
 )
 
-#: ``<receiver>.<name>(fn, ...)`` shapes whose first argument runs on
-#: another thread.
-_FANOUT_METHODS = frozenset({"map", "map_shared", "submit"})
+#: ``<receiver>.<name>(fn, ...)`` shapes whose first argument (a
+#: callable, or for the backend seam a method name) runs on another
+#: thread.
+_FANOUT_METHODS = frozenset({"map", "map_shared", "submit", "call_async"})
 
 
 def _callable_records(
@@ -75,6 +81,9 @@ def _callable_records(
         return list(graph.by_name.get(expr.attr, []))
     if isinstance(expr, ast.Name):
         return list(graph.by_name.get(expr.id, []))
+    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+        # The backend seam dispatches by method name.
+        return list(graph.by_name.get(expr.value, []))
     return []
 
 

@@ -128,16 +128,14 @@ def gateway_closed_loop_capacity(backend: object, calls: Sequence[Call],
     gateway service with admission effectively disabled.
 
     This is the saturation point the open-loop curve anchors to: the
-    gateway pipeline (admission bookkeeping, queues, dispatchers, the
-    wrap-future hop) costs more per request than the bare submission
-    seam, so anchoring to :func:`closed_loop_capacity` would place
+    gateway pipeline (admission bookkeeping, dispatch slots, read
+    flights) costs more per request than the bare submission seam, so anchoring to :func:`closed_loop_capacity` would place
     "below saturation" points past the gateway's actual ceiling."""
 
     async def scenario() -> float:
         config = GatewayConfig(tenant_rate=1e9, tenant_burst=1e9,
                                queue_depth=1 << 20)
         service = GatewayService(backend, config)
-        await service.start()
         completed = 0
 
         async def worker(shard: Sequence[Call]) -> None:
@@ -283,7 +281,6 @@ def gateway_point(backend: object, calls: Sequence[Call],
 
     async def scenario() -> LoadPoint:
         service = GatewayService(backend, config)
-        await service.start()
 
         async def handler(method: str, args: list, kwargs: dict) -> object:
             return await service.handle(method, args, kwargs, tenant=tenant)
@@ -303,9 +300,7 @@ def direct_point(backend: object, calls: Sequence[Call],
 
     async def scenario() -> LoadPoint:
         async def handler(method: str, args: list, kwargs: dict) -> object:
-            return await asyncio.wrap_future(
-                backend.submit(method, *args, **kwargs)
-            )
+            return await backend.call_async(method, *args, **kwargs)
 
         return await _open_loop(handler, calls, offered_load)
 

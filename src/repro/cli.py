@@ -347,7 +347,6 @@ def _cmd_serve_shard(args) -> int:
         }
     server = ShardServer(
         store, server_id=args.server_id, host=args.host, port=args.port,
-        max_workers=args.workers,
     )
     return _serve(server)
 
@@ -383,8 +382,7 @@ def _cmd_serve_master(args) -> int:
         rebuild_rate_bytes_s=args.rebuild_rate_bytes_s,
     )
     cluster.transport = SocketTransport(addresses, timeout_s=args.timeout_s)
-    server = MasterServer(cluster, host=args.host, port=args.port,
-                          max_workers=args.workers)
+    server = MasterServer(cluster, host=args.host, port=args.port)
     return _serve(server)
 
 
@@ -531,7 +529,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              help="0 picks a free port (see LISTENING line)")
     serve_shard.add_argument("--shards", type=int, default=2)
     serve_shard.add_argument("--alpha", type=int, default=16)
-    serve_shard.add_argument("--workers", type=int, default=8)
     serve_shard.add_argument("--ec-dir", default=None,
                              help="this server's erasure-coded fragment "
                                   "directory (from `repro ec-encode`; "
@@ -551,7 +548,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="0 picks a free port (see LISTENING line)")
     serve_master.add_argument("--shards", type=int, default=2)
     serve_master.add_argument("--alpha", type=int, default=16)
-    serve_master.add_argument("--workers", type=int, default=8)
     serve_master.add_argument("--replication", type=int, default=2,
                               help="replicas per shard (capped at the "
                                    "server count)")
@@ -592,7 +588,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                help="queue fraction past which sheddable "
                                     "reads degrade to partial results")
     serve_gateway.add_argument("--dispatchers", type=int, default=8,
-                               help="dispatcher coroutines draining queues")
+                               help="dispatch slots: admitted requests at the "
+                                    "backend at once")
     serve_gateway.add_argument("--timeout-s", type=float, default=30.0,
                                help="per-connection socket timeout to the "
                                     "master")

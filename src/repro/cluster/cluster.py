@@ -16,6 +16,7 @@ all-server broadcast for search queries.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -111,17 +112,28 @@ class ZipGCluster(ZipGSystem):
 
     def submit(self, method: str, *args: object, **kwargs: object) -> "Future":
         """Submit one cluster call; returns a ``concurrent.futures``
-        future an event loop can await via ``asyncio.wrap_future``.
+        future (:meth:`call_async` is its awaitable face).
 
-        This is the gateway's seam over the transport: the call runs
-        on a dedicated submission pool (never the store's fan-out
-        executor -- a submission that itself fans out must not be able
-        to deadlock the pool it fans out on), dispatches through
+        The call runs on a dedicated submission pool (never the
+        store's fan-out executor -- a submission that itself fans out
+        must not be able to deadlock the pool it fans out on),
+        dispatches through
         ``self.transport`` exactly like a direct call, and the future
         carries the same result or typed exception the direct call
         would have produced."""
         handler = getattr(self, method)
         return self._submit_pool().submit(handler, *args, **kwargs)
+
+    async def call_async(self, method: str, *args: object,
+                         **kwargs: object) -> object:
+        """:meth:`submit`, awaited: the backend seam the gateway
+        dispatches through.  A cluster call is local CPU work, so it
+        still needs its thread; a remote
+        :class:`~repro.server.client.ZipGClient` implements the same
+        seam on the event loop itself."""
+        return await asyncio.wrap_future(
+            self.submit(method, *args, **kwargs)
+        )
 
     def _submit_pool(self) -> ThreadPoolExecutor:
         pool = self._submitter

@@ -8,8 +8,8 @@ buckets, bounded queues with structured backpressure
 (:class:`~repro.core.errors.RetryAfter`), load shedding that degrades
 broadcast reads to the cluster's ``partial_results=True`` path, and
 coalescing of identical in-flight reads -- all on one asyncio event
-loop, dispatching to the store through the clusters' awaitable
-``submit()`` seam.
+loop, which a request never leaves on its way to a remote master: the
+backend seam is ``await backend.call_async(...)``.
 
 Layering: ``gateway`` sits above ``cluster`` and ``server`` and below
 ``cli``/``bench``; nothing below imports it.

@@ -4,7 +4,8 @@ The front door's overload contract (PAPER.md §5.2's interactive-serving
 claim only means anything if saturation is handled, not assumed away):
 
 * every tenant owns a :class:`TokenBucket` (sustained rate + burst) and
-  a bounded FIFO queue;
+  a bounded FIFO queue, where admitted requests park while every
+  dispatch slot is busy;
 * a request that finds its tenant's queue **full** is rejected with a
   structured :class:`~repro.core.errors.RetryAfter` -- never an
   unbounded queue, never a timeout-shaped mystery;
@@ -24,8 +25,8 @@ deterministically.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.errors import RetryAfter
 
@@ -80,30 +81,14 @@ class TokenBucket:
         return (1.0 - self._tokens) / self.rate
 
 
-class QueuedRequest:
-    """One admitted request waiting in its tenant's queue."""
-
-    __slots__ = ("tenant", "method", "args", "kwargs", "future",
-                 "degrade", "enqueued_at")
-
-    def __init__(self, tenant: str, method: str, args: tuple,
-                 kwargs: dict, future: object, degrade: bool,
-                 enqueued_at: float) -> None:
-        self.tenant = tenant
-        self.method = method
-        self.args = args
-        self.kwargs = kwargs
-        self.future = future
-        self.degrade = degrade
-        self.enqueued_at = enqueued_at
-
-
 class _TenantState:
-    __slots__ = ("bucket", "queue")
+    __slots__ = ("name", "bucket", "queue")
 
-    def __init__(self, bucket: TokenBucket, queue: "Deque[QueuedRequest]") -> None:
+    def __init__(self, name: str, bucket: TokenBucket) -> None:
+        self.name = name
         self.bucket = bucket
-        self.queue = queue
+        #: Waiters of the admitted requests parked for a dispatch slot.
+        self.queue: Deque[object] = deque()
 
 
 class AdmissionController:
@@ -130,9 +115,12 @@ class AdmissionController:
         self.queue_depth = int(queue_depth)
         self.shed_threshold = float(shed_threshold)
         self._clock = clock
-        # Insertion-ordered so the dispatcher's round-robin ring is
-        # stable and newly-seen tenants join at the end.
-        self._tenants: "OrderedDict[str, _TenantState]" = OrderedDict()
+        self._tenants: Dict[str, _TenantState] = {}
+        # The round-robin ring: tenants in first-seen order, and where
+        # the next pop starts looking.
+        self._ring: List[_TenantState] = []
+        self._cursor = 0
+        self._parked = 0
 
     # ------------------------------------------------------------------
     # Tenant state
@@ -141,39 +129,36 @@ class AdmissionController:
     def _state(self, tenant: str) -> _TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            from collections import deque
-
             state = _TenantState(
+                tenant,
                 TokenBucket(self.tenant_rate, self.tenant_burst,
                             clock=self._clock),
-                deque(),
             )
             self._tenants[tenant] = state
+            self._ring.append(state)
         return state
-
-    def tenants(self) -> List[str]:
-        return list(self._tenants)
 
     def queue_depth_of(self, tenant: str) -> int:
         state = self._tenants.get(tenant)
         return len(state.queue) if state is not None else 0
 
-    def total_queued(self) -> int:
-        return sum(len(s.queue) for s in self._tenants.values())
+    def depths(self) -> Dict[str, int]:
+        return {name: len(state.queue)
+                for name, state in self._tenants.items()}
 
     # ------------------------------------------------------------------
     # The admission decision
     # ------------------------------------------------------------------
 
-    def admit(self, tenant: str, method: str, args: tuple, kwargs: dict,
-              future: object, sheddable: bool) -> QueuedRequest:
-        """Admit one request into its tenant's queue or shed it.
+    def admit(self, tenant: str, sheddable: bool) -> bool:
+        """Admit one request or shed it.
 
         Raises :class:`RetryAfter` (``reason="queue_full"`` or
         ``"rate_limit"``) when the request must not enter the system;
-        otherwise consumes a token, enqueues, and returns the entry
-        (``entry.degrade`` set when the queue is past the shed
-        threshold and the read supports partial results).
+        otherwise consumes a token and returns the *degrade* flag --
+        true when the tenant's queue is past the shed threshold and
+        the read supports partial results.  The caller dispatches the
+        request at once or :meth:`park`\\ s it.
         """
         state = self._state(tenant)
         depth = len(state.queue)
@@ -191,47 +176,35 @@ class AdmissionController:
                                   state.bucket.time_to_token()),
                 reason="rate_limit",
             )
-        degrade = bool(
+        return bool(
             sheddable and depth >= self.shed_threshold * self.queue_depth
         )
-        entry = QueuedRequest(tenant, method, args, kwargs, future,
-                              degrade, self._clock())
-        state.queue.append(entry)
-        return entry
 
     # ------------------------------------------------------------------
-    # Dispatch-side draining
+    # The tenant queues
     # ------------------------------------------------------------------
 
-    def next_entry(self, ring: List[str], cursor: int
-                   ) -> Tuple[Optional[QueuedRequest], int]:
-        """Pop the next queued request, round-robin across tenants.
+    def park(self, tenant: str, waiter: object) -> int:
+        """Queue an admitted request's waiter behind its tenant's
+        backlog; returns the tenant's new depth."""
+        queue = self._tenants[tenant].queue
+        queue.append(waiter)
+        self._parked += 1
+        return len(queue)
 
-        ``ring``/``cursor`` are the caller's rotation state (the service
-        owns them so the rotation survives tenant churn); returns the
-        entry (or ``None`` when every queue is empty) plus the advanced
-        cursor.  One full pass visits every tenant once, so a hot
-        tenant's backlog cannot starve a quiet tenant's single request.
-        """
-        current = self.tenants()
-        for name in current:
-            if name not in ring:
-                ring.append(name)
-        if not ring:
-            return None, cursor
+    def next_parked(self) -> Optional[Tuple[str, object]]:
+        """Pop the next parked ``(tenant, waiter)``, round-robin across
+        tenants (``None`` when nothing is parked).  One full pass
+        visits every tenant once, so a hot tenant's backlog cannot
+        starve a quiet tenant's single request."""
+        if not self._parked:
+            return None
+        ring = self._ring
         for step in range(len(ring)):
-            index = (cursor + step) % len(ring)
-            state = self._tenants.get(ring[index])
-            if state is not None and state.queue:
-                return state.queue.popleft(), (index + 1) % len(ring)
-        return None, cursor
-
-    def drain_all(self) -> Iterable[QueuedRequest]:
-        """Remove and yield every queued entry (shutdown path)."""
-        for state in self._tenants.values():
-            while state.queue:
-                yield state.queue.popleft()
-
-    def depths(self) -> Dict[str, int]:
-        return {name: len(state.queue)
-                for name, state in self._tenants.items()}
+            index = (self._cursor + step) % len(ring)
+            state = ring[index]
+            if state.queue:
+                self._cursor = (index + 1) % len(ring)
+                self._parked -= 1
+                return state.name, state.queue.popleft()
+        return None

@@ -44,6 +44,16 @@ class Route:
     sheddable: bool  # may degrade to partial_results under load?
 
 
+_ROUTES = {
+    **{m: Route(m, "admin", admission=False, sheddable=False)
+       for m in ADMIN_METHODS},
+    **{m: Route(m, "read", admission=True, sheddable=m in SHEDDABLE_METHODS)
+       for m in READ_METHODS},
+    **{m: Route(m, "write", admission=True, sheddable=False)
+       for m in WRITE_METHODS},
+}
+
+
 def resolve(method: str) -> Route:
     """Classify ``method`` or raise ``KeyError`` for off-surface names.
 
@@ -51,11 +61,7 @@ def resolve(method: str) -> Route:
     identical to the master's own dispatch: an unknown verb is a
     protocol violation by the caller, not an overload condition.
     """
-    if method in ADMIN_METHODS:
-        return Route(method, "admin", admission=False, sheddable=False)
-    if method in READ_METHODS:
-        return Route(method, "read", admission=True,
-                     sheddable=method in SHEDDABLE_METHODS)
-    if method in WRITE_METHODS:
-        return Route(method, "write", admission=True, sheddable=False)
-    raise KeyError(f"unknown gateway method {method!r}")
+    route = _ROUTES.get(method)
+    if route is None:
+        raise KeyError(f"unknown gateway method {method!r}")
+    return route

@@ -11,10 +11,11 @@ Where :class:`~repro.server.shard_server.RpcServerBase` spends a
 thread per connection, the gateway is a *front door*: thousands of
 idle client connections must cost coroutines, not stacks.  Each
 accepted connection is one reader coroutine; each request becomes one
-task feeding :class:`~repro.gateway.service.GatewayService`, so a
-queued request head-of-line-blocks nothing (responses overtake, the
-client correlates by request id, exactly as with the threaded
-servers).
+task that runs :meth:`GatewayService.handle
+<repro.gateway.service.GatewayService.handle>` to completion and
+writes the response, so a parked request head-of-line-blocks nothing
+(unlike the threaded servers, responses on one connection may
+overtake; clients correlate by request id).
 
 Failure semantics match the threaded servers deliberately:
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
-from typing import Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro import chaos, obs
 from repro.gateway.service import DEFAULT_TENANT, GatewayConfig, GatewayService
@@ -71,7 +72,10 @@ class GatewayServer:
         self.address: Tuple[str, int] = self._sock.getsockname()[:2]
         self._server: Optional["asyncio.AbstractServer"] = None
         self._loop: Optional["asyncio.AbstractEventLoop"] = None
+        #: In-flight request tasks, and each connection's reader task
+        #: with the writer that ends it; all reaped at shutdown.
         self._tasks: Set["asyncio.Task"] = set()
+        self._readers: Dict["asyncio.Task", "asyncio.StreamWriter"] = {}
         self._stop_requested = threading.Event()
         # Created inside serve() so it binds the serving loop (3.9's
         # asyncio primitives capture a loop at construction).
@@ -89,7 +93,6 @@ class GatewayServer:
         :meth:`stop` (the CLI ``serve-gateway`` entry point)."""
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        await self.service.start()
         self._server = await asyncio.start_server(
             self._serve_connection, sock=self._sock
         )
@@ -143,7 +146,8 @@ class GatewayServer:
         self.stop()
 
     async def _shutdown(self) -> None:
-        """Close the listener, drain the service, cancel readers."""
+        """Close the listener, drain the service, reap the connection
+        readers (and whatever requests a crash left in flight)."""
         if self._server is not None:
             self._server.close()
             try:
@@ -152,14 +156,24 @@ class GatewayServer:
                 pass  # zipg: ignore[ROBUST001] - listener already gone
             self._server = None
         if not self._crashed:
-            # Clean drain: queued requests complete, then dispatchers
-            # exit.  A crash skips this -- a dead process drains nothing.
+            # Clean drain: admitted requests complete.  A crash skips
+            # this -- a dead process drains nothing.
             await self.service.drain()
-        for task in list(self._tasks):
+        # Readers are ended by EOF, not cancelled: asyncio's stream
+        # machinery reports a cancelled connection callback on stderr
+        # as an error.  Requests still here bypassed the drain (admin
+        # verbs) or were left by a crash.
+        readers = dict(self._readers)
+        for writer in readers.values():
+            writer.close()
+        requests = list(self._tasks)
+        for task in requests:
             task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-            self._tasks.clear()
+        await asyncio.gather(*readers, *requests, return_exceptions=True)
+        # A remote backend's streams live on this loop and die with it.
+        aclose = getattr(self.service.backend, "aclose", None)
+        if aclose is not None:
+            await aclose()
 
     def _crash(self) -> None:
         """A ``SimulatedCrash`` fired in the pipeline: die like a
@@ -183,6 +197,7 @@ class GatewayServer:
     async def _serve_connection(self, reader: "asyncio.StreamReader",
                                 writer: "asyncio.StreamWriter") -> None:
         send_lock = asyncio.Lock()
+        self._readers[asyncio.current_task()] = writer
         try:
             while not self.stopped:
                 try:
@@ -204,6 +219,7 @@ class GatewayServer:
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
         finally:
+            del self._readers[asyncio.current_task()]
             try:
                 writer.close()
             except OSError:

@@ -1,10 +1,11 @@
-"""The gateway service: admission -> queue -> batch -> dispatch.
+"""The gateway service: admission -> dispatch slot -> batch -> backend.
 
 One :class:`GatewayService` fronts a backend exposing the awaitable
-submission seam (``submit(method, *args, **kwargs) -> Future``) --
-a local :class:`~repro.cluster.cluster.ZipGCluster` or a remote
-:class:`~repro.server.client.ZipGClient`; the service never knows
-which.  The request pipeline, per call:
+seam ``await backend.call_async(method, *args, **kwargs)`` -- a remote
+:class:`~repro.server.client.ZipGClient` (asyncio streams on this
+loop) or a local :class:`~repro.cluster.cluster.ZipGCluster` (its
+submission pool, awaited); the service never knows which.  A request
+runs to completion in the task that called :meth:`GatewayService.handle`:
 
 1. **route** -- classify the method (:mod:`repro.gateway.router`);
    admin verbs bypass admission entirely;
@@ -12,23 +13,25 @@ which.  The request pipeline, per call:
    bucket + bounded queue (:mod:`repro.gateway.admission`); overflow
    and rate-limit rejections raise :class:`RetryAfter` here, *before*
    the request consumes any backend capacity;
-3. **queue** -- admitted work parks in its tenant's FIFO; dispatcher
-   coroutines drain the queues round-robin across tenants, so one hot
+3. **slot** -- at most ``dispatchers`` admitted requests are at the
+   backend at once.  A request that finds a free slot goes straight
+   on; otherwise it parks in its tenant's FIFO until a finishing
+   request hands its slot over, round-robin across tenants, so one hot
    tenant's backlog cannot starve another's single request;
-4. **batch** -- identical in-flight reads coalesce: one leader issues
-   the backend call, riders await its result without holding a
-   dispatcher slot (the async face of the executor's ``map_shared``
-   and the store's :class:`~repro.perf.coalesce.BatchCoalescer`);
-5. **dispatch** -- chaos site ``gateway.dispatch``, then
-   ``asyncio.wrap_future(backend.submit(...))``.  Reads flagged for
-   degradation go out with ``partial_results=True`` instead of
-   failing -- a shed that returns data.
+4. **batch** -- identical in-flight reads coalesce: one flight issues
+   the backend call, riders await its result (the async face of the
+   executor's ``map_shared`` and the store's
+   :class:`~repro.perf.coalesce.BatchCoalescer`);
+5. **dispatch** -- chaos site ``gateway.dispatch``, then the backend
+   seam.  Reads flagged for degradation go out with
+   ``partial_results=True`` instead of failing -- a shed that returns
+   data.
 
 The whole pipeline is event-loop confined: admission state is only
 touched from coroutines, so there are no locks, and the backend seam
-is the only place work leaves the loop.  This module is marked
+is the only place work may leave the loop.  This module is marked
 ``gateway-path``; analysis rule GATE001 rejects anything here that
-would block the loop.
+would block the loop or hand a request to a thread.
 """
 # zipg: gateway-path
 
@@ -37,11 +40,11 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import chaos, obs
 from repro.core.errors import GatewayClosed, RetryAfter
-from repro.gateway.admission import AdmissionController, QueuedRequest
+from repro.gateway.admission import AdmissionController
 from repro.gateway.router import Route, resolve
 
 #: Tenant label applied when a request carries none.
@@ -61,28 +64,53 @@ class GatewayConfig:
     #: Fraction of ``queue_depth`` past which sheddable reads degrade
     #: to ``partial_results=True``.
     shed_threshold: float = 0.75
-    #: Dispatcher coroutines draining the tenant queues.  Bounds the
-    #: gateway's concurrency against the backend (which sizes its own
-    #: submission pool to match).
+    #: Dispatch slots: admitted requests at the backend at once (and so
+    #: the width of a remote backend's connection pool).
     dispatchers: int = 8
 
 
-class _Flight:
-    """One in-flight backend call that identical reads ride on."""
+class _TenantMetrics:
+    """One tenant's metric handles, resolved once: looking a series up
+    by its label set costs more than recording into it."""
 
-    __slots__ = ("future", "riders")
+    def __init__(self, tenant: str) -> None:
+        self._tenant = tenant
+        labels = {"tenant": tenant}
+        self.admitted = obs.counter(
+            "zipg_gateway_admitted_total",
+            help="requests past admission control", labels=labels)
+        self.queued = obs.counter(
+            "zipg_gateway_queued_total",
+            help="admitted requests parked in a tenant queue", labels=labels)
+        self.batched = obs.counter(
+            "zipg_gateway_batched_total",
+            help="reads coalesced onto an identical in-flight call",
+            labels=labels)
+        self.depth = obs.gauge(
+            "zipg_gateway_queue_depth",
+            help="requests currently parked per tenant queue", labels=labels)
+        self.latency = obs.histogram(
+            "zipg_gateway_latency_seconds",
+            help="admitted-request latency through the gateway",
+            labels=labels)
+        self._shed: Dict[str, object] = {}
 
-    def __init__(self, future: "asyncio.Future") -> None:
-        self.future = future
-        self.riders = 0
+    def shed(self, mode: str):
+        counter = self._shed.get(mode)
+        if counter is None:
+            counter = self._shed[mode] = obs.counter(
+                "zipg_gateway_shed_total",
+                help="requests shed by the gateway, by mode",
+                labels={"tenant": self._tenant, "mode": mode})
+        return counter
 
 
 class GatewayService:
-    """Admission-controlled async front door over a submission backend.
+    """Admission-controlled async front door over an awaitable backend.
 
     Args:
-        backend: anything with ``submit(method, *args, **kwargs)``
-            returning a ``concurrent.futures.Future``.
+        backend: anything with ``async call_async(method, *args,
+            **kwargs)``.
         config: admission/queue/dispatch tuning.
         clock: injectable monotonic clock (tests drive the buckets).
     """
@@ -99,61 +127,39 @@ class GatewayService:
             shed_threshold=self.config.shed_threshold,
             clock=clock,
         )
-        self._ring: List[str] = []
-        self._cursor = 0
-        # Created lazily inside a coroutine so it binds the serving
-        # loop (3.9's asyncio primitives capture a loop at construction).
-        self._wake: Optional["asyncio.Event"] = None
-        self._dispatchers: List["asyncio.Task"] = []
-        self._read_flights: Dict[Tuple[object, ...], _Flight] = {}
-        self._inflight = 0
+        self._handles: Dict[str, _TenantMetrics] = {}
+        self._read_flights: Dict[Tuple[object, ...], "asyncio.Future"] = {}
+        # Dispatch slots in use.  Invariant: a slot is free only while
+        # nothing is parked -- a finishing request hands its slot to
+        # the next parked one instead of freeing it.
+        self._busy = 0
         self._draining = False
-        self._started = False
+        self._drained: Optional["asyncio.Future"] = None
 
-    def _wake_event(self) -> "asyncio.Event":
-        """The dispatcher wake signal (created on first use, from a
-        coroutine, so it belongs to the serving loop)."""
-        if self._wake is None:
-            self._wake = asyncio.Event()
-        return self._wake
+    def _tenant_metrics(self, tenant: str) -> _TenantMetrics:
+        metrics = self._handles.get(tenant)
+        if metrics is None:
+            metrics = self._handles[tenant] = _TenantMetrics(tenant)
+        return metrics
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> None:
-        """Spawn the dispatcher coroutines (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for index in range(self.config.dispatchers):
-            task = asyncio.get_running_loop().create_task(
-                self._dispatch_loop(index)
-            )
-            self._dispatchers.append(task)
-
     async def drain(self) -> None:
-        """Stop admitting, finish every queued request, stop dispatchers.
+        """Stop admitting and finish every admitted request.
 
         New requests see :class:`GatewayClosed` immediately; admitted
-        work already in the queues completes normally (a drain is a
-        handover, not an amputation).  Returns once the queues are
-        empty, every backend call has resolved, and the dispatcher
-        coroutines have exited.
+        work -- at the backend or parked -- completes normally (a
+        drain is a handover, not an amputation).  Returns once every
+        dispatch slot is free, which by the slot invariant means the
+        queues are empty too.
         """
         self._draining = True
-        self._wake_event().set()  # stays set: dispatchers exit on empty
-        if self._dispatchers:
-            await asyncio.gather(*self._dispatchers, return_exceptions=True)
-            self._dispatchers = []
-        # Belt and braces: anything still queued (a dispatcher died on
-        # an injected fault, say) gets a structured rejection rather
-        # than a forever-pending future.
-        for entry in self._admission.drain_all():
-            future = entry.future
-            if isinstance(future, asyncio.Future) and not future.done():
-                future.set_exception(GatewayClosed("gateway drained"))
-        self._set_depth_gauges()
+        while self._busy:
+            if self._drained is None or self._drained.done():
+                self._drained = asyncio.get_running_loop().create_future()
+            await self._drained
 
     @property
     def draining(self) -> bool:
@@ -186,98 +192,79 @@ class GatewayService:
                 return await self._submit(route, call_args, call_kwargs,
                                           tenant)
             started = self._clock()
-            entry = self._admit(route, call_args, call_kwargs, tenant)
+            metrics = self._tenant_metrics(tenant)
+            degrade = self._admit(route, tenant, metrics)
+            if self._busy < self.config.dispatchers:
+                self._busy += 1
+            else:
+                await self._park(tenant, metrics)
             try:
-                result = await entry.future
-            except asyncio.CancelledError:
-                # Waiter cancelled (client gone): the entry may still
-                # be queued; mark it abandoned so dispatch skips it.
-                entry.future = None
-                raise
-            self._observe_latency(tenant, self._clock() - started)
+                if degrade:
+                    call_kwargs["partial_results"] = True
+                    metrics.shed("degrade").inc()
+                result = await self._submit(route, call_args, call_kwargs,
+                                            tenant)
+            finally:
+                self._release_slot()
+            metrics.latency.observe(self._clock() - started)
             return result
 
-    def _admit(self, route: Route, args: tuple, kwargs: dict,
-               tenant: str) -> QueuedRequest:
+    def _admit(self, route: Route, tenant: str,
+               metrics: _TenantMetrics) -> bool:
+        """Admission for one request; returns its degrade flag."""
         chaos.kick(chaos.SITE_GATEWAY_ADMIT, tenant=tenant,
                    method=route.method)
         if self._draining:
             raise GatewayClosed("gateway is draining; not admitting")
-        loop = asyncio.get_running_loop()
         try:
-            entry = self._admission.admit(
-                tenant, route.method, args, kwargs,
-                loop.create_future(), sheddable=route.sheddable,
-            )
+            degrade = self._admission.admit(tenant, route.sheddable)
         except RetryAfter as exc:
-            obs.counter(
-                "zipg_gateway_shed_total",
-                help="requests shed by the gateway, by mode",
-                labels={"tenant": tenant, "mode": f"reject_{exc.reason}"},
-            ).inc()
+            metrics.shed(f"reject_{exc.reason}").inc()
             raise
-        obs.counter(
-            "zipg_gateway_admitted_total",
-            help="requests past admission control",
-            labels={"tenant": tenant},
-        ).inc()
-        obs.counter(
-            "zipg_gateway_queued_total",
-            help="admitted requests parked in a tenant queue",
-            labels={"tenant": tenant},
-        ).inc()
-        self._set_depth_gauges()
-        self._wake_event().set()
-        return entry
+        metrics.admitted.inc()
+        return degrade
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Dispatch slots
     # ------------------------------------------------------------------
 
-    async def _dispatch_loop(self, index: int) -> None:
-        wake = self._wake_event()
-        while True:
-            entry, self._cursor = self._admission.next_entry(
-                self._ring, self._cursor
-            )
-            if entry is None:
-                if self._draining:
-                    return
-                wake.clear()
-                # Re-check after clearing: an admit between the failed
-                # pop and the clear would otherwise be missed.
-                entry, self._cursor = self._admission.next_entry(
-                    self._ring, self._cursor
-                )
-                if entry is None:
-                    await wake.wait()
-                    continue
-            self._set_depth_gauges()
-            await self._dispatch_one(entry)
-
-    async def _dispatch_one(self, entry: QueuedRequest) -> None:
-        future = entry.future
-        if future is None or future.done():
-            return  # waiter gave up while the entry was queued
-        route = resolve(entry.method)
-        kwargs = entry.kwargs
-        if entry.degrade:
-            kwargs = dict(kwargs)
-            kwargs["partial_results"] = True
-            obs.counter(
-                "zipg_gateway_shed_total",
-                help="requests shed by the gateway, by mode",
-                labels={"tenant": entry.tenant, "mode": "degrade"},
-            ).inc()
+    async def _park(self, tenant: str, metrics: _TenantMetrics) -> None:
+        """Every slot is busy: wait in the tenant's queue until a
+        finishing request hands this one its slot."""
+        waiter = asyncio.get_running_loop().create_future()
+        metrics.depth.set(self._admission.park(tenant, waiter))
+        metrics.queued.inc()
         try:
-            result = await self._submit(route, entry.args, kwargs,
-                                        entry.tenant)
-        except BaseException as exc:  # typed remote errors included
-            if not future.done():
-                future.set_exception(exc)
-            return
-        if not future.done():
-            future.set_result(result)
+            await waiter
+        except asyncio.CancelledError:
+            # The client went away.  Still parked: the cancelled
+            # waiter marks the entry abandoned and the hand-over skips
+            # it.  Handed a slot in the same instant: pass it on.
+            if not waiter.cancelled():
+                self._release_slot()
+            raise
+
+    def _release_slot(self) -> None:
+        """Hand the caller's slot to the next parked request,
+        round-robin across tenants, or free it."""
+        while True:
+            parked = self._admission.next_parked()
+            if parked is None:
+                self._busy -= 1
+                if not self._busy and self._drained is not None \
+                        and not self._drained.done():
+                    self._drained.set_result(None)
+                return
+            tenant, waiter = parked
+            self._tenant_metrics(tenant).depth.set(
+                self._admission.queue_depth_of(tenant))
+            if not waiter.done():
+                waiter.set_result(None)
+                return
+
+    # ------------------------------------------------------------------
+    # The backend call
+    # ------------------------------------------------------------------
 
     async def _submit(self, route: Route, args: tuple, kwargs: dict,
                       tenant: str) -> object:
@@ -287,42 +274,34 @@ class GatewayService:
         if route.kind == "admin":
             if route.method == "ping":
                 # The caller is probing *this* process's liveness, and
-                # the wire contract is the literal "pong" (a ZipGClient
-                # backend would normalize it to a bool).
+                # the wire contract is the literal "pong".
                 return "pong"
             if not callable(getattr(self.backend, route.method, None)):
                 # Cluster backends carry no RPC admin surface (a remote
                 # ZipGClient backend forwards these end-to-end instead).
                 return self._admin_local(route.method)
         key = self._flight_key(route, args, kwargs)
-        if key is not None:
-            flight = self._read_flights.get(key)
-            if flight is not None:
-                # Ride the leader's in-flight call: no second backend
-                # submission, and this dispatcher slot frees up as
-                # soon as the await parks.
-                flight.riders += 1
-                obs.counter(
-                    "zipg_gateway_batched_total",
-                    help="reads coalesced onto an identical in-flight call",
-                    labels={"tenant": tenant},
-                ).inc()
-                return await asyncio.shield(flight.future)
-        self._inflight += 1
-        try:
-            awaitable = asyncio.wrap_future(
-                self.backend.submit(route.method, *args, **kwargs)
-            )
-            if key is None:
-                return await awaitable
-            flight = _Flight(asyncio.ensure_future(awaitable))
+        if key is None:
+            return await self.backend.call_async(route.method, *args,
+                                                 **kwargs)
+        flight = self._read_flights.get(key)
+        if flight is None:
+            flight = asyncio.ensure_future(
+                self._fly(key, route.method, args, kwargs))
             self._read_flights[key] = flight
-            try:
-                return await asyncio.shield(flight.future)
-            finally:
-                self._read_flights.pop(key, None)
+        else:
+            # Ride the in-flight call: no second backend submission.
+            self._tenant_metrics(tenant).batched.inc()
+        # Shielded: one waiter going away must not cancel the call the
+        # others are riding on.
+        return await asyncio.shield(flight)
+
+    async def _fly(self, key: Tuple[object, ...], method: str, args: tuple,
+                   kwargs: dict) -> object:
+        try:
+            return await self.backend.call_async(method, *args, **kwargs)
         finally:
-            self._inflight -= 1
+            del self._read_flights[key]
 
     def _admin_local(self, method: str) -> object:
         """The non-callable admin verbs, answered from cluster state
@@ -359,23 +338,3 @@ class GatewayService:
             # canonicalize through repr rather than skip coalescing.
             return (route.method, repr(args),
                     repr(sorted(kwargs.items())))
-
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-
-    def _set_depth_gauges(self) -> None:
-        for tenant, depth in self._admission.depths().items():
-            obs.gauge(
-                "zipg_gateway_queue_depth",
-                help="requests currently parked per tenant queue",
-                labels={"tenant": tenant},
-            ).set(depth)
-
-    @staticmethod
-    def _observe_latency(tenant: str, elapsed_s: float) -> None:
-        obs.histogram(
-            "zipg_gateway_latency_seconds",
-            help="admitted-request latency through the gateway",
-            labels={"tenant": tenant},
-        ).observe(elapsed_s)

@@ -15,97 +15,63 @@ the client's only failure semantic is mapping transport-layer problems
 re-raises as itself, e.g. ``NodeNotFound``).
 
 Connections are pooled per client, one per in-flight call, so a
-client instance is safe to share across threads.
+client instance is safe to share across threads.  Event-loop callers
+use :meth:`ZipGClient.call_async`, which keeps its own pool of asyncio
+streams.
 """
 # zipg: robust-path
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Set
 
-from repro import obs
-from repro.core.errors import TransportError
 from repro.core.model import PropertyList
-from repro.server import ipc
-from repro.server.protocol import unpack_response
-from repro.server.transport import _ConnectionPool
+from repro.server.transport import _AsyncConnectionPool, _ConnectionPool
 
 
 class ZipGClient:
     """Speak the master protocol from anywhere on the network."""
-
-    #: Width of the lazily-created awaitable-submission pool.
-    SUBMIT_WORKERS = 8
 
     def __init__(self, host: str, port: int,
                  timeout_s: Optional[float] = 30.0) -> None:
         self.host = host
         self.port = port
         self._rpc_pool = _ConnectionPool(-1, host, port, timeout_s)
+        self._async_pool = _AsyncConnectionPool(-1, host, port, timeout_s)
         #: Envelope-level fields stamped on every request this client
         #: sends (the gateway client sets ``{"tenant": ...}`` here).
         self._request_extra: Dict[str, object] = {}
-        self._submitter: Optional[ThreadPoolExecutor] = None
-        self._submitter_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
 
     def _call(self, method: str, *args: object, **kwargs: object) -> object:
-        try:
-            connection = self._rpc_pool.checkout()
-        except OSError as exc:
-            raise TransportError(
-                f"cannot connect to master at {self.host}:{self.port}: {exc}"
-            ) from exc
-        try:
-            request_id = connection.send_request(
-                method, list(args), kwargs=kwargs or None,
-                trace=obs.current_trace_context(),
-                extra=self._request_extra or None,
-            )
-            response = connection.recv_response(request_id)
-        except (OSError, ipc.FrameError) as exc:
-            connection.close()
-            raise TransportError(
-                f"rpc {method!r} to master failed: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        except BaseException:
-            connection.close()
-            raise
-        self._rpc_pool.checkin(connection)
-        return unpack_response(response)
+        return self._rpc_pool.round_trip(
+            method, list(args), kwargs=kwargs or None,
+            extra=self._request_extra or None,
+        )
 
-    def submit(self, method: str, *args: object, **kwargs: object) -> "Future":
-        """Submit one RPC; returns a ``concurrent.futures`` future an
-        event loop can await via ``asyncio.wrap_future``.
+    async def call_async(self, method: str, *args: object,
+                         **kwargs: object) -> object:
+        """One RPC awaited on the caller's event loop, over asyncio
+        streams -- the awaitable backend seam a gateway fronting a
+        remote master dispatches through.  Same wire request, same
+        result or typed exception as the blocking methods, and no
+        thread between the caller and the socket."""
+        return await self._async_pool.round_trip(
+            method, list(args), kwargs=kwargs or None,
+            extra=self._request_extra or None,
+        )
 
-        The client-side half of the cluster's awaitable submission
-        seam: a gateway fronting a remote master awaits these instead
-        of blocking its event loop on socket round trips."""
-        handler = getattr(self, method)
-        pool = self._submitter
-        if pool is None:
-            with self._submitter_lock:
-                pool = self._submitter
-                if pool is None:
-                    pool = ThreadPoolExecutor(
-                        max_workers=self.SUBMIT_WORKERS,
-                        thread_name_prefix="zipg-client-submit",
-                    )
-                    self._submitter = pool
-        return pool.submit(handler, *args, **kwargs)
+    async def aclose(self) -> None:
+        """Release :meth:`call_async`'s streams; await it on the loop
+        that made the calls, before that loop ends."""
+        await self._async_pool.aclose()
 
     def close(self) -> None:
-        with self._submitter_lock:
-            pool, self._submitter = self._submitter, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         self._rpc_pool.close()
+        self._async_pool.close()
 
     def __enter__(self) -> "ZipGClient":
         return self

@@ -70,9 +70,8 @@ class MasterServer(RpcServerBase):
     role = "master"
 
     def __init__(self, cluster: object, host: str = "127.0.0.1",
-                 port: int = 0, max_workers: int = 8) -> None:
-        super().__init__(server_id=MASTER_SERVER_ID, host=host, port=port,
-                         max_workers=max_workers)
+                 port: int = 0) -> None:
+        super().__init__(server_id=MASTER_SERVER_ID, host=host, port=port)
         self.cluster = cluster
 
     # zipg: rpc-entry

@@ -7,10 +7,10 @@ Requests and responses are JSON objects carried in :mod:`ipc` frames::
     response: {"id": 7, "ok": true,  "value": <encoded>}
               {"id": 7, "ok": false, "error": <encoded exception>}
 
-``id`` correlates responses with requests: servers execute requests
-concurrently and may answer out of order on one connection, so a
-client matches on ``id`` and buffers responses destined for other
-in-flight calls (:class:`RpcConnection`).  ``trace`` carries the
+``id`` correlates responses with requests: the threaded servers answer
+one connection in arrival order, but the gateway runs each request as
+its own task and may not, so a client matches on ``id`` and buffers
+responses destined for other in-flight calls (:class:`RpcConnection`).  ``trace`` carries the
 caller's :mod:`repro.obs` span context (trace id + span id) so server
 spans attach to the originating query's trace.
 

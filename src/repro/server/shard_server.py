@@ -1,12 +1,15 @@
 """Framed-RPC server machinery and the shard-server role.
 
 :class:`RpcServerBase` owns everything both server roles share:
-connections are accepted on a listener thread, each connection gets a
-reader thread, and each *request* is handed to a shared worker pool so
-a slow operation does not head-of-line-block its connection -- the
-response for a fast later request may overtake it (clients correlate
-by request id, see :class:`~repro.server.protocol.RpcConnection`).
-Subclasses supply :meth:`RpcServerBase._execute`.
+connections are accepted on a listener thread and each connection gets
+one thread that reads a request, executes it and writes the response
+before it reads the next -- run to completion, no hand-off.  The
+contract that follows: requests on one connection are answered in
+arrival order, and concurrency is the number of connections (callers
+pool one connection per in-flight call, see
+:class:`~repro.server.transport._ConnectionPool`); a slow request
+delays only its own connection.  Subclasses supply
+:meth:`RpcServerBase._execute`.
 
 :class:`ShardServer` is the worker role: one local
 :class:`~repro.core.graph_store.ZipG` replica answering the
@@ -18,7 +21,7 @@ Failure semantics, from the server's side of the wire:
 * an operation that raises an ``Exception`` becomes a structured error
   response -- the typed exception re-raises client-side;
 * a peer that vanishes (reset, torn frame) kills only that
-  connection's reader; the store and other connections are untouched;
+  connection's thread; the store and other connections are untouched;
 * :class:`~repro.chaos.SimulatedCrash` out of a ``rpc.handle`` or
   ``rpc.send`` chaos rule is a *process death model* -- it tears down
   the whole server (listener included), so clients observe exactly
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Set, Tuple
 
 from repro import chaos, obs
@@ -52,29 +54,25 @@ _ACCEPT_TIMEOUT_S = 0.2
 
 
 class RpcServerBase:
-    """Threaded accept/read/execute loop for one framed-RPC listener.
+    """Thread-per-connection accept/read/execute loop for one
+    framed-RPC listener.
 
     Args:
         server_id: this server's cluster id (stamped on spans, chaos
             tags, and metrics).
         host / port: bind address; port 0 picks a free port (read the
             chosen one off :attr:`address`).
-        max_workers: request-execution pool width.
     """
 
     #: Role tag used in thread names and spans ("shard" / "master").
     role = "server"
 
     def __init__(self, server_id: int = 0, host: str = "127.0.0.1",
-                 port: int = 0, max_workers: int = 8) -> None:
+                 port: int = 0) -> None:
         self.server_id = server_id
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(_ACCEPT_TIMEOUT_S)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        self._workers = ThreadPoolExecutor(
-            max_workers=max_workers,
-            thread_name_prefix=f"zipg-{self.role}{server_id}",
-        )
         self._lock = threading.Lock()
         self._connections: Set[socket.socket] = set()
         self._stopping = threading.Event()
@@ -108,7 +106,7 @@ class RpcServerBase:
         return self._stopping.is_set()
 
     def stop(self) -> None:
-        """Stop accepting, drop every connection, drain the pool."""
+        """Stop accepting and drop every connection."""
         self._stopping.set()
         try:
             self._listener.close()
@@ -122,7 +120,6 @@ class RpcServerBase:
         if (accept_thread is not None and accept_thread.is_alive()
                 and accept_thread is not threading.current_thread()):
             accept_thread.join(timeout=5.0)
-        self._workers.shutdown(wait=False)
 
     def __enter__(self) -> "RpcServerBase":
         return self.start()
@@ -161,8 +158,8 @@ class RpcServerBase:
             ).start()
 
     def _connection_loop(self, sock: socket.socket) -> None:
-        """Read frames off one connection until the peer goes away."""
-        send_lock = threading.Lock()
+        """Serve one connection, a request at a time, until the peer
+        goes away."""
         try:
             while not self._stopping.is_set():
                 try:
@@ -173,16 +170,15 @@ class RpcServerBase:
                     # Protocol violation: answer if the stream still
                     # works, then drop the connection -- framing state
                     # is unrecoverable after a bad prefix.
-                    self._try_send(sock, send_lock,
-                                   make_error_response(-1, exc))
+                    self._try_send(sock, make_error_response(-1, exc))
                     return
-                self._workers.submit(self._handle, sock, send_lock, request)
+                self._handle(sock, request)
         finally:
             with self._lock:
                 self._connections.discard(sock)
             _close_socket(sock)
 
-    def _handle(self, sock: socket.socket, send_lock: threading.Lock,
+    def _handle(self, sock: socket.socket,
                 request: Dict[str, object]) -> None:
         request_id = request.get("id")
         if not isinstance(request_id, int):
@@ -210,13 +206,12 @@ class RpcServerBase:
                 labels={"method": method},
             ).inc()
             response = make_error_response(request_id, exc)
-        self._try_send(sock, send_lock, response)
+        self._try_send(sock, response)
 
-    def _try_send(self, sock: socket.socket, send_lock: threading.Lock,
+    def _try_send(self, sock: socket.socket,
                   response: Dict[str, object]) -> None:
         try:
-            with send_lock:
-                ipc.send_frame(sock, response, server=self.server_id)
+            ipc.send_frame(sock, response, server=self.server_id)
         except chaos.SimulatedCrash:
             self._crash()
         except (OSError, ipc.FrameError) as exc:
@@ -258,9 +253,8 @@ class ShardServer(RpcServerBase):
 
     def __init__(self, store: ZipG, server_id: int = 0,
                  host: str = "127.0.0.1", port: int = 0,
-                 apply_writes: bool = True, max_workers: int = 8) -> None:
-        super().__init__(server_id=server_id, host=host, port=port,
-                         max_workers=max_workers)
+                 apply_writes: bool = True) -> None:
+        super().__init__(server_id=server_id, host=host, port=port)
         self.store = store
         self.apply_writes = apply_writes
 

@@ -34,6 +34,13 @@ async def guarded_update(state):
         _LOCK.release()
 
 
+async def hand_off(backend, method):
+    import asyncio
+
+    future = backend.submit(method)  # GATE001: a thread per request
+    return await asyncio.wrap_future(future)  # GATE001: and a wake-up back
+
+
 # zipg: executor-offload
 def pool_worker(task):
     # OK: declared off-loop -- this runs on the submission pool.
@@ -41,7 +48,7 @@ def pool_worker(task):
     return task()
 
 
-async def idiomatic(lock, reader, writer, payload):
+async def idiomatic(lock, reader, writer, payload, backend):
     # OK: the asyncio spellings of all of the above.
     import asyncio
 
@@ -50,4 +57,5 @@ async def idiomatic(lock, reader, writer, payload):
     await asyncio.sleep(0.1)
     async with lock:
         await ipc.send_frame_async(writer, payload)
-        return await ipc.recv_frame_async(reader)
+        await ipc.recv_frame_async(reader)
+    return await backend.call_async("ping")

@@ -399,12 +399,22 @@ class TestGatewayRule:
         assert ("GATE001",
                 line_of(path, "GATE001: thread lock parks")) in found
 
+    def test_thread_handoff_flagged(self):
+        # The awaitable backend seam replaced submit + wrap_future on
+        # the gateway path; a pool hand-off there is a finding.
+        path = fixture("gateway_blocking.py")
+        found = hits(findings_for("gateway_blocking.py", ["GATE001"]))
+        assert ("GATE001",
+                line_of(path, "GATE001: a thread per request")) in found
+        assert ("GATE001",
+                line_of(path, "GATE001: and a wake-up back")) in found
+
     def test_executor_offload_function_exempt(self):
         path = fixture("gateway_blocking.py")
         found = findings_for("gateway_blocking.py", ["GATE001"])
         offloaded = line_of(path, "this runs on the submission pool") + 1
         assert not any(f.line == offloaded for f in found)
-        assert len(found) == 6  # nothing in idiomatic() either
+        assert len(found) == 8  # nothing in idiomatic() either
 
     def test_unmarked_modules_exempt(self):
         # time.sleep in a module without gateway-path is out of scope
@@ -526,9 +536,16 @@ class TestRaceRule:
             for _, line in found
         )
 
-    def test_only_the_unsafe_write_flagged(self):
+    def test_backend_seam_method_name_is_a_thread_entry(self):
+        path = fixture("race_violation.py")
         found = findings_for("race_violation.py", ["RACE001"])
-        assert len(found) == 1
+        assert ("RACE001",
+                line_of(path, "RACE001: reached by name")) in hits(found)
+        assert any("call_async() fan-out" in f.message for f in found)
+
+    def test_only_the_unsafe_writes_flagged(self):
+        found = findings_for("race_violation.py", ["RACE001"])
+        assert len(found) == 2
 
 
 # ----------------------------------------------------------------------
@@ -807,7 +824,7 @@ class TestCliExtensions:
         body, summary = out.rsplit("scanned ", 1)
         assert "race_violation.py" in body
         assert "deadlock_cycle.py" not in body
-        assert "1 finding(s)" in summary
+        assert "2 finding(s)" in summary
 
     def test_changed_with_nothing_relevant_passes(self, capsys, monkeypatch):
         import repro.analysis.__main__ as driver

@@ -2,8 +2,10 @@
 
 The framing tests drive :mod:`repro.server.ipc` over socketpairs --
 torn frames, oversized prefixes, undecodable payloads.  The pipelining
-tests prove response interleaving on one connection, with and without
-a real server.  The chaos matrix runs the replicated cluster over the
+tests pin the client's id correlation (a gateway may answer one
+connection out of order) and the threaded servers' contract: one
+connection is answered in arrival order, and a slow request delays
+only its own connection.  The chaos matrix runs the replicated cluster over the
 socket transport with seeded ``rpc.send`` / ``rpc.recv`` fault rules
 and asserts every failure stays structured.
 """
@@ -23,7 +25,12 @@ from repro.core import GraphData, ZipG
 from repro.core.errors import ShardCallError, TransportError
 from repro.server import ipc
 from repro.server.loopback import LoopbackCluster
-from repro.server.protocol import RpcConnection, make_response, unpack_response
+from repro.server.protocol import (
+    RpcConnection,
+    make_request,
+    make_response,
+    unpack_response,
+)
 from repro.server.shard_server import ShardServer
 
 
@@ -146,29 +153,47 @@ class TestInterleavedResponses:
         connection.close()
         server_sock.close()
 
-    def test_fast_request_overtakes_slow_one_on_a_real_server(self):
-        """A slow operation must not head-of-line-block its connection:
-        the server executes requests on a pool, so a later ping's
-        response arrives while the slow request is still running."""
+    def test_one_connection_is_answered_in_arrival_order(self):
+        """A server runs each request to completion on its connection's
+        thread: a fast request behind a slow one waits its turn."""
+        store = make_store()
+        injector = ChaosInjector(rules=[
+            FaultRule(site=chaos.SITE_RPC_HANDLE, fault="latency",
+                      latency_s=0.1, match={"method": "shard_inventory"}),
+        ])
+        with ShardServer(store, server_id=0, apply_writes=False) as server:
+            sock = socket.create_connection(server.address, timeout=5.0)
+            with chaos.injected(injector):
+                ipc.send_frame(sock, make_request(1, "shard_inventory", []))
+                ipc.send_frame(sock, make_request(2, "ping", []))
+                first = ipc.recv_frame(sock)
+                second = ipc.recv_frame(sock)
+            sock.close()
+        assert (first["id"], second["id"]) == (1, 2)
+        assert len(unpack_response(first)["shards"]) == store.num_shards
+        assert unpack_response(second) == "pong"
+
+    def test_slow_request_delays_only_its_own_connection(self):
+        """Concurrency is the number of connections: a 0.3 s stall on
+        connection A costs a ping on connection B nothing."""
         store = make_store()
         injector = ChaosInjector(rules=[
             FaultRule(site=chaos.SITE_RPC_HANDLE, fault="latency",
                       latency_s=0.3, match={"method": "shard_inventory"}),
         ])
         with ShardServer(store, server_id=0, apply_writes=False) as server:
-            connection = RpcConnection.connect(*server.address, timeout_s=5.0)
+            slow = RpcConnection.connect(*server.address, timeout_s=5.0)
+            fast = RpcConnection.connect(*server.address, timeout_s=5.0)
             with chaos.injected(injector):
-                slow_id = connection.send_request("shard_inventory", [])
-                fast_id = connection.send_request("ping", [])
+                slow_id = slow.send_request("shard_inventory", [])
                 begin = time.monotonic()
-                assert unpack_response(
-                    connection.recv_response(fast_id)
-                ) == "pong"
+                assert fast.call("ping", []) == "pong"
                 fast_elapsed = time.monotonic() - begin
-                slow = unpack_response(connection.recv_response(slow_id))
+                inventory = unpack_response(slow.recv_response(slow_id))
             assert fast_elapsed < 0.3  # did not wait for the slow one
-            assert len(slow["shards"]) == store.num_shards
-            connection.close()
+            assert len(inventory["shards"]) == store.num_shards
+            slow.close()
+            fast.close()
 
 
 # ----------------------------------------------------------------------
