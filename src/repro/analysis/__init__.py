@@ -8,7 +8,7 @@ must never fall back to scalar NPA walks, and how the public API
 surfaces errors. This package is an AST-based rule engine enforcing
 those conventions on every commit:
 
-* ``LOCK001``/``LOCK002``/``LOCK003`` -- lock discipline (see
+* ``LOCK001``/``LOCK002`` -- lock discipline (see
   :mod:`repro.analysis.rules.locks`);
 * ``LAYOUT001``/``LAYOUT002`` -- byte-layout invariants
   (:mod:`repro.analysis.rules.layout`);

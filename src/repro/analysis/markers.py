@@ -38,7 +38,7 @@ MODULE_DIRECTIVES = frozenset(
         "cache-backed",
         # Mutations in this module follow a single-writer protocol
         # (e.g. per-thread AccessStats counters merged under a lock):
-        # RACE001 defers to LOCK003's counter whitelist here.
+        # RACE001 skips its unlocked writes.
         "single-writer",
         # This module IS the typed-exception codec: EXC001 reads the
         # registered exception names from it.

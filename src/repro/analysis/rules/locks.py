@@ -1,8 +1,7 @@
-"""Lock-discipline rules (LOCK001/LOCK002/LOCK003).
+"""Lock-discipline rules (LOCK001/LOCK002).
 
-The concurrency contract of this repository (see
-``repro.core.executor`` and ``repro.succinct.stats``) has three legs,
-each checked by one rule:
+The lock contract of this repository has two legs, each checked by
+one rule:
 
 * **LOCK001** -- attributes that are ever mutated under a class's lock
   (or inside a ``*_locked`` helper) are *lock-guarded*.  Guarded
@@ -13,9 +12,6 @@ each checked by one rule:
 * **LOCK002** -- the lock-acquisition-order graph (lock A held while
   acquiring lock B, directly or through calls) must be acyclic; a
   self-edge on a non-reentrant lock is a self-deadlock.
-* **LOCK003** -- callables fanned out through ``ShardExecutor.map``
-  without the ``stats_of=`` serialization contract must not reach the
-  unlocked ``stats.<counter> += n`` hot-path increments.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, called_names
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.engine import (
     AnalysisContext,
     Finding,
@@ -39,21 +35,6 @@ from repro.analysis.rules.common import (
     mutation_targets,
     nodes_under_self_lock,
     with_acquired_lock_attrs,
-)
-
-#: AccessStats counter names (fallback when stats.py is not in the
-#: scanned set; merged with the discovered guarded attributes).
-DEFAULT_STATS_COUNTERS = frozenset(
-    {
-        "random_accesses",
-        "sequential_bytes",
-        "npa_hops",
-        "npa_batched_hops",
-        "batch_kernel_calls",
-        "searches",
-        "writes",
-        "decompressed_bytes",
-    }
 )
 
 _INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
@@ -325,85 +306,3 @@ def check_lock_order(context: AnalysisContext) -> Iterator[Finding]:
                 path,
                 line,
             )
-
-
-def _stats_counters(context: AnalysisContext) -> Set[str]:
-    counters = set(DEFAULT_STATS_COUNTERS)
-    for owner in discover_lock_owners(context):
-        if owner.class_name == "AccessStats":
-            counters.update(owner.guarded)
-    return counters
-
-
-def _mutates_stats_counter(
-    record: FunctionRecord, counters: Set[str]
-) -> Optional[Tuple[str, int]]:
-    """``(counter, line)`` of the first unlocked ``stats.<counter>``
-    mutation in the function, if any."""
-    for attr, recv, node in mutation_targets(record.node):
-        if attr not in counters:
-            continue
-        if (isinstance(recv, ast.Attribute) and recv.attr == "stats") or (
-            isinstance(recv, ast.Name) and recv.id == "stats"
-        ):
-            return (attr, node.lineno)
-    return None
-
-
-def _is_executor_receiver(func: ast.Attribute) -> bool:
-    recv = func.value
-    if isinstance(recv, ast.Attribute):
-        return "executor" in recv.attr.lower()
-    if isinstance(recv, ast.Name):
-        return "executor" in recv.id.lower()
-    return False
-
-
-@rule(
-    "LOCK003",
-    "ShardExecutor.map fan-outs that reach unlocked stats increments "
-    "must pass stats_of= (the per-stats-object serialization contract)",
-)
-def check_executor_stats_discipline(context: AnalysisContext) -> Iterator[Finding]:
-    counters = _stats_counters(context)
-    graph: CallGraph = context.callgraph()  # type: ignore[assignment]
-    for module in context.modules:
-        for record in module.functions:
-            for node in ast.walk(record.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if not (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "map"
-                    and _is_executor_receiver(func)
-                ):
-                    continue
-                if any(kw.arg == "stats_of" for kw in node.keywords):
-                    continue
-                if not node.args:
-                    continue
-                fn_arg = node.args[0]
-                if isinstance(fn_arg, ast.Lambda):
-                    seeds = called_names(fn_arg.body)
-                elif isinstance(fn_arg, ast.Name):
-                    seeds = {fn_arg.id}
-                elif isinstance(fn_arg, ast.Attribute):
-                    seeds = {fn_arg.attr}
-                else:
-                    seeds = called_names(fn_arg)
-                for callee in graph.reachable_from_names(seeds):
-                    hit = _mutates_stats_counter(callee, counters)
-                    if hit is None:
-                        continue
-                    counter, _ = hit
-                    yield Finding(
-                        "LOCK003",
-                        f"executor.map without stats_of= reaches the "
-                        f"unlocked 'stats.{counter} +=' increment in "
-                        f"'{callee.qualname}' -- pass stats_of= so items "
-                        f"sharing a stats object serialize",
-                        module.path,
-                        node.lineno,
-                    )
-                    break

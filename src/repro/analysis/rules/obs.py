@@ -9,9 +9,9 @@ query path. In modules marked ``# zipg: query-api``:
   decorated with ``@obs.traced(...)`` or opening a ``with
   obs.span(...)`` block; and
 * every ``executor.map`` fan-out call site must sit inside a
-  span-wrapped function, otherwise the worker spans it propagates
-  (``executor.worker``) attach to whatever span happens to be current
-  in the caller's caller, mis-attributing the fan-out's time.
+  span-wrapped function, otherwise the per-shard spans it opens
+  attach to whatever span happens to be current in the caller's
+  caller, mis-attributing the fan-out's time.
 
 A method that is intentionally untraced (a trivial delegation whose
 own span would only add overhead) opts out with ``# zipg: span-free``.
@@ -109,7 +109,7 @@ def check_query_path_spans(context: AnalysisContext) -> Iterator[Finding]:
             yield Finding(
                 "OBS001",
                 f"executor.map fan-out in '{record.qualname}' runs "
-                f"outside any span -- worker spans will attach to the "
+                f"outside any span -- shard spans will attach to the "
                 f"wrong parent (wrap the call or mark "
                 f"'# zipg: span-free')",
                 module.path,

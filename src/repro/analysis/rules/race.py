@@ -4,8 +4,6 @@ An Eraser-style may-hold lockset analysis over the receiver-aware call
 graph.  The threaded region of the program is everything reachable
 from a *threaded entry point*:
 
-* callables fanned out through ``<executor>.map(...)`` /
-  ``map_shared(...)`` (the ShardExecutor worker pool);
 * ``threading.Thread(target=...)`` targets (the RpcServerBase accept
   and per-connection threads, which run each request to completion)
   and ``.submit(...)`` arguments;
@@ -33,7 +31,7 @@ Exemptions:
 
 * ``__init__``-family methods (the object is not yet shared);
 * modules marked ``# zipg: single-writer`` (their unlocked writes
-  follow the stats single-writer contract, checked by LOCK003);
+  follow the stats single-writer contract);
 * the lock attributes themselves.
 """
 
@@ -59,7 +57,7 @@ from repro.analysis.rules.locks import (
 #: ``<receiver>.<name>(fn, ...)`` shapes whose first argument (a
 #: callable, or for the backend seam a method name) runs on another
 #: thread.
-_FANOUT_METHODS = frozenset({"map", "map_shared", "submit", "call_async"})
+_FANOUT_METHODS = frozenset({"submit", "call_async"})
 
 
 def _callable_records(

@@ -12,9 +12,8 @@ repository:
 * ``"lock"`` -- every write to a guarded attribute must happen while
   the current thread holds the lock (AccessStats.merge/add/reset).
 * ``"single-writer"`` -- unlocked writes are allowed from at most one
-  thread (the ShardExecutor ``stats_of=`` contract: items sharing a
-  stats object serialize into one task, so the unlocked hot-path
-  increments all come from a single worker thread).  Locked writes are
+  thread (the AccessStats contract: the unlocked hot-path increments
+  all come from the one thread running the query).  Locked writes are
   always allowed and do not claim ownership.
 
 Typical use in a test::

@@ -46,7 +46,6 @@ class ZipGCluster(ZipGSystem):
     name = "zipg"
 
     def __init__(self, store: ZipG, num_servers: int,
-                 max_workers: Optional[int] = None,
                  retries: int = 0, backoff_s: float = 0.0,
                  deadline_s: Optional[float] = None):
         super().__init__(store)
@@ -70,14 +69,6 @@ class ZipGCluster(ZipGSystem):
         # clusters that never serve a gateway pay no threads.
         self._submitter: Optional[ThreadPoolExecutor] = None
         self._submitter_lock = threading.Lock()
-        if max_workers is not None:
-            # Re-size the store's fan-out pool so the broadcast path
-            # (get_node_ids / find_edges) matches the simulated cluster
-            # width.
-            from repro.core.executor import ShardExecutor
-
-            store.executor.close()
-            store.executor = ShardExecutor(max_workers)
 
     # -- dispatch --------------------------------------------------------
 
@@ -105,20 +96,16 @@ class ZipGCluster(ZipGSystem):
     # -- awaitable submission seam ---------------------------------------
 
     #: Width of the lazily-created submission pool.  Sized for a
-    #: gateway front door, not for shard fan-out (the store's
-    #: ShardExecutor still owns that): each submission occupies one
-    #: thread for the life of one cluster call.
+    #: gateway front door: each submission occupies one thread for the
+    #: life of one cluster call.
     SUBMIT_WORKERS = 8
 
     def submit(self, method: str, *args: object, **kwargs: object) -> "Future":
         """Submit one cluster call; returns a ``concurrent.futures``
         future (:meth:`call_async` is its awaitable face).
 
-        The call runs on a dedicated submission pool (never the
-        store's fan-out executor -- a submission that itself fans out
-        must not be able to deadlock the pool it fans out on),
-        dispatches through
-        ``self.transport`` exactly like a direct call, and the future
+        The call runs on a dedicated submission pool, dispatches
+        through ``self.transport`` exactly like a direct call, and the future
         carries the same result or typed exception the direct call
         would have produced."""
         handler = getattr(self, method)

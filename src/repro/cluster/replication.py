@@ -46,8 +46,8 @@ acknowledged writes.  Replicas mid-catch-up are counted by the
 ``zipg_replicas_catching_up`` gauge.
 
 Rotation, down-server, and catch-up state are guarded by one lock:
-cluster queries fan out on the store's thread pool, so ``fail_server``
-can race ``server_of_shard`` from a worker thread.  Writes and
+concurrent callers (gateway submissions, server connections) query
+while ``fail_server`` runs on another thread.  Writes and
 catch-up serialize on a separate write lock (always taken *before*
 the state lock) so the oplog and the commit LSN stay consistent.
 
@@ -83,6 +83,14 @@ from repro.core.graph_store import ZipG
 from repro.core.model import PropertyList
 from repro.core.shard import CompressedShard
 from repro.ec import ErasureCodedSnapshots
+from repro.perf.coalesce import SingleFlight
+
+
+def _count_shared_fanout() -> None:
+    obs.counter(
+        "zipg_executor_coalesced_fanouts_total",
+        help="fan-outs that joined an identical in-flight fan-out",
+    ).inc()
 
 
 class ShardUnavailable(RuntimeError):
@@ -193,6 +201,8 @@ class ReplicatedZipGCluster(ZipGCluster):
             server: 0 for server in range(num_servers)
         }
         self._catching_up: Set[int] = set()
+        # Identical concurrent broadcasts share one fan-out.
+        self._broadcast_flights = SingleFlight(on_shared=_count_shared_fanout)
 
     # ------------------------------------------------------------------
     # Placement
@@ -760,9 +770,10 @@ class ReplicatedZipGCluster(ZipGCluster):
         fan-out works in-process and against socket shard servers;
         ``merge(values)`` combines the successful hits.  When
         ``args_key`` (a hashable digest of the query arguments) is
-        given, identical concurrent broadcasts single-flight through
-        :meth:`ShardExecutor.map_shared` -- the store epoch in the key
-        keeps a fan-out from being shared across a mutation."""
+        given, identical concurrent broadcasts share one fan-out
+        through the cluster's :class:`~repro.perf.SingleFlight` -- the
+        store epoch in the key keeps a fan-out from being shared across
+        a mutation."""
         units: List = [None] + list(self.store.shards)
         transport = self.transport
 
@@ -787,25 +798,26 @@ class ReplicatedZipGCluster(ZipGCluster):
                     )
             return self._shard_unit_call(unit.shard_id, method, wire_args)
 
-        flight_key = None
-        if args_key is not None:
-            flight_key = (
-                "broadcast", id(self), self.store.epoch.value,
-                title, args_key, bool(partial_results),
-            )
-        with obs.span("replication.broadcast", layer="cluster", query=title):
-            outcomes = self.store.executor.map_shared(
-                flight_key,
+        # zipg: span-free  (always runs under the replication.broadcast span)
+        def fan_out():
+            return self.store.executor.map(
                 run,
                 units,
-                stats_of=lambda unit: (
-                    self.store.logstore.stats if unit is None else unit.stats
-                ),
                 retries=self.retries,
                 backoff_s=self.backoff_s,
                 deadline_s=self.deadline_s,
                 partial=True,
             )
+
+        with obs.span("replication.broadcast", layer="cluster", query=title):
+            if args_key is None:
+                outcomes = fan_out()
+            else:
+                outcomes = self._broadcast_flights.do(
+                    ("broadcast", id(self), self.store.epoch.value,
+                     title, args_key, bool(partial_results)),
+                    fan_out,
+                )
         errors: List[ShardError] = []
         values: List = []
         for outcome, unit in zip(outcomes, units):

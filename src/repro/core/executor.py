@@ -1,16 +1,13 @@
-"""Parallel fan-out executor for multi-shard queries (§4.1).
+"""Serial fan-out executor for multi-shard queries (§4.1).
 
 All-shard operations (``get_node_ids``, ``find_edges``, the cluster
-broadcast path) fan one function out over many shards. With the CPython
-GIL the win comes from the shards' numpy kernels releasing the GIL
-during their gathers, and from modeling the paper's per-core shard
-parallelism with real concurrent execution rather than a serial loop.
-
-Thread-safety contract: hot-path ``stats.counter += n`` increments on
-:class:`~repro.succinct.stats.AccessStats` are not atomic, so two work
-items whose shards *share* one stats object must never run on two
-threads at once. :meth:`ShardExecutor.map` enforces this by grouping
-items that share a stats instance into a single serial task.
+broadcast path) apply one function to many shards. The paper gets
+shard parallelism from one core per shard *process*; in one Python
+process a thread pool only buys cross-core wake-ups under the GIL
+(the fan-out ran 4.2x slower than a serial loop over the already
+vectorised shard kernels), so :meth:`ShardExecutor.map` is a plain
+loop on the caller's thread. Shard spans therefore nest directly under
+the query's span, and ``stats.counter += n`` increments never race.
 
 Failure semantics: each work item may be retried (``retries`` +
 exponential ``backoff_s``), bounded by a cooperative ``deadline_s``
@@ -22,45 +19,22 @@ returns structured per-item
 :class:`ShardResult`\\ s instead of raising on the first failure --
 the degraded-query building block the replicated cluster uses.  Every
 invocation passes through the ``executor.shard_call`` chaos site, so
-all of these paths are fault-injectable.
-
-Observability: each submitted group runs inside a *copy* of the
-caller's :mod:`contextvars` context, so spans opened by work items
-attach to the query's current :class:`repro.obs.tracing.Span` instead
-of starting orphan traces on the pool threads.  Retries, failures,
-and deadline misses publish ``zipg_executor_*`` counters.
+all of these paths are fault-injectable.  Retries, failures, and
+deadline misses publish ``zipg_executor_*`` counters.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro import chaos, obs
 from repro.core.errors import DeadlineExceeded
-from repro.perf.coalesce import SingleFlight
 
-_DEFAULT_WORKER_CAP = 8
 #: Exponential backoff is capped so a high retry count cannot stall a
 #: query for minutes.
 _BACKOFF_CAP_S = 2.0
-
-
-def default_max_workers() -> int:
-    """Default pool width: one thread per core, capped."""
-    return max(1, min(_DEFAULT_WORKER_CAP, os.cpu_count() or 1))
-
-
-def _count_shared_fanout() -> None:
-    obs.counter(
-        "zipg_executor_coalesced_fanouts_total",
-        help="fan-outs that joined an identical in-flight fan-out",
-    ).inc()
 
 
 @dataclass
@@ -75,36 +49,8 @@ class ShardResult:
 
 
 class ShardExecutor:
-    """A reusable thread pool for fanning a query out over shards.
-
-    Args:
-        max_workers: pool width. ``None`` picks a per-core default;
-            ``1`` degrades to a plain serial loop (useful for
-            deterministic debugging and as the zero-thread baseline).
-
-    The underlying pool is created lazily on the first parallel
-    :meth:`map`, so constructing a store never spawns threads that a
-    serial workload would not use.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is None:
-            max_workers = default_max_workers()
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-        self._fanout_flights = SingleFlight(on_shared=_count_shared_fanout)
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="zipg-shard",
-                )
-            return self._pool
+    """Runs a query's per-shard work items through the retry/deadline
+    state machine, one after another on the caller's thread."""
 
     def _run_one(
         self,
@@ -197,19 +143,13 @@ class ShardExecutor:
         self,
         fn: Callable,
         items: Sequence,
-        stats_of: Optional[Callable] = None,
         *,
         retries: int = 0,
         backoff_s: float = 0.0,
         deadline_s: Optional[float] = None,
         partial: bool = False,
     ) -> List:
-        """``[fn(item) for item in items]``, fanned across the pool.
-
-        Results come back in input order. ``stats_of(item)`` names the
-        :class:`AccessStats` instance the item mutates -- items sharing
-        one instance are chained into a single serial task so unlocked
-        ``+=`` increments never race.
+        """``[fn(item) for item in items]``, in input order.
 
         Failure handling: each item is attempted ``1 + retries`` times
         with exponential backoff; a cooperative ``deadline_s`` budgets
@@ -220,100 +160,13 @@ class ShardExecutor:
         :class:`ShardResult` (one per item, input order) carrying
         either the value or the structured error.
         """
-        items = list(items)
-
-        def run_item(pair) -> ShardResult:
-            index, item = pair
-            return self._run_one(fn, item, index, retries, backoff_s, deadline_s)
-
-        if self.max_workers == 1 or len(items) <= 1:
-            outcomes = [run_item(pair) for pair in enumerate(items)]
-            return self._collect(outcomes, partial)
-
-        groups: dict = {}
-        order: List = []
-        for index, item in enumerate(items):
-            stats = stats_of(item) if stats_of is not None else None
-            key = id(stats) if stats is not None else ("solo", index)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((index, item))
-
-        def run_group(group):
-            with obs.span("executor.worker", layer="executor", items=len(group)):
-                return [run_item(pair) for pair in group]
-
-        pool = self._ensure_pool()
-        # One context copy per group: a contextvars.Context may only be
-        # entered by one thread at a time, and the copy carries the
-        # caller's current span into the worker.
-        futures = [
-            pool.submit(contextvars.copy_context().run, run_group, groups[key])
-            for key in order
+        outcomes = [
+            self._run_one(fn, item, index, retries, backoff_s, deadline_s)
+            for index, item in enumerate(items)
         ]
-        outcomes: List[Optional[ShardResult]] = [None] * len(items)
-        for future in futures:
-            for outcome in future.result():
-                outcomes[outcome.index] = outcome
-        return self._collect([o for o in outcomes if o is not None], partial)
-
-    def map_shared(
-        self,
-        flight_key: Optional[object],
-        fn: Callable,
-        items: Sequence,
-        stats_of: Optional[Callable] = None,
-        *,
-        retries: int = 0,
-        backoff_s: float = 0.0,
-        deadline_s: Optional[float] = None,
-        partial: bool = False,
-    ) -> List:
-        """:meth:`map`, with identical concurrent fan-outs coalesced.
-
-        Callers presenting the same ``flight_key`` while a matching
-        fan-out is in flight share its result list instead of fanning
-        out again (single-flight). The shared list must be treated as
-        read-only. ``flight_key=None`` bypasses coalescing entirely.
-
-        The key must capture everything the result depends on -- the
-        query, its arguments, and a generation counter for the data
-        (e.g. the store epoch), otherwise a concurrent mutation could
-        hand one caller another caller's stale view.
-        """
-        if flight_key is None:
-            return self.map(
-                fn, items, stats_of, retries=retries,
-                backoff_s=backoff_s, deadline_s=deadline_s, partial=partial,
-            )
-        return self._fanout_flights.do(
-            flight_key,
-            lambda: self.map(
-                fn, items, stats_of, retries=retries,
-                backoff_s=backoff_s, deadline_s=deadline_s, partial=partial,
-            ),
-        )
-
-    @staticmethod
-    def _collect(outcomes: List[ShardResult], partial: bool) -> List:
         if partial:
             return outcomes
         for outcome in outcomes:
             if not outcome.ok and outcome.error is not None:
                 raise outcome.error
         return [outcome.value for outcome in outcomes]
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent; the executor can be reused,
-        a new pool is created on the next parallel map)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ShardExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -185,7 +185,6 @@ class ZipG:
         shards: List[CompressedShard],
         alpha: int,
         logstore_threshold_bytes: int,
-        max_workers: Optional[int] = None,
         encoding: str = "succinct",
     ) -> None:
         self._delimiters = delimiters
@@ -206,7 +205,7 @@ class ZipG:
         # mmap keepalive: load_store(mode="mmap") parks its open maps
         # here because every shard holds zero-copy views into them.
         self._mmaps: List[object] = []
-        self.executor = ShardExecutor(max_workers)
+        self.executor = ShardExecutor()
         self.freeze_count = 0
         # Optional write-ahead log (repro.core.wal): attached by the
         # persistence layer; every mutation is logged before it is
@@ -248,7 +247,6 @@ class ZipG:
         alpha: int = 32,
         logstore_threshold_bytes: int = 1 << 20,
         extra_property_ids: Optional[Sequence[str]] = None,
-        max_workers: Optional[int] = None,
         encoding: str = "succinct",
     ) -> "ZipG":
         """Compress ``graph`` into a ZipG store (the paper's
@@ -264,8 +262,6 @@ class ZipG:
             extra_property_ids: PropertyIDs that future appends may use
                 but which do not occur in the initial graph (the
                 delimiter map is immutable once built).
-            max_workers: width of the store's shard fan-out thread pool
-                (``None`` -> per-core default, ``1`` -> serial).
             encoding: flat-file codec for every shard (see
                 :mod:`repro.succinct.encodings`; ``"succinct"`` is the
                 paper's representation, ``"offsets"`` the Log(Graph)-
@@ -295,7 +291,7 @@ class ZipG:
             for i in range(num_shards)
         ]
         return cls(delimiters, shards, alpha, logstore_threshold_bytes,
-                   max_workers=max_workers, encoding=encoding)
+                   encoding=encoding)
 
     # ------------------------------------------------------------------
     # Routing helpers
@@ -433,7 +429,8 @@ class ZipG:
         """NodeIDs whose properties match every pair in ``property_list``.
 
         The one query that must touch *all* shards (§4.1 footnote 5);
-        the shard searches fan out across the store's thread pool.
+        the shard searches run one after another through the store's
+        executor.
         """
         cache = self._cache
         if cache is None:
@@ -454,7 +451,6 @@ class ZipG:
         hits = self.executor.map(
             lambda location: location.find_live_nodes(property_list),
             locations,
-            stats_of=lambda location: location.stats,
             retries=self.retries,
             backoff_s=self.backoff_s,
             deadline_s=self.deadline_s,
@@ -570,7 +566,6 @@ class ZipG:
         hits = self.executor.map(
             lambda location: location.find_edges_by_property(property_id, value),
             locations,
-            stats_of=lambda location: location.stats,
             retries=self.retries,
             backoff_s=self.backoff_s,
             deadline_s=self.deadline_s,
@@ -900,7 +895,7 @@ class ZipG:
                     "time_us": _time_us("pointer"),
                 },
                 "graph_store": {
-                    "time_us": _time_us("graph_store", "executor", "other"),
+                    "time_us": _time_us("graph_store", "other"),
                 },
             },
             "storage": {

@@ -9,9 +9,9 @@ touches exactly the shards it needs instead of broadcasting to all.
 The pointers are kept uncompressed (updates are a small fraction of
 real workloads, so the overhead is minimal).
 
-Thread safety: queries fan out through
-:class:`repro.core.executor.ShardExecutor` while the ingest path keeps
-appending, so every table is protected by one non-reentrant lock.
+Thread safety: concurrent queries read the tables while the ingest
+path keeps appending, so every table is protected by one
+non-reentrant lock.
 Methods named ``*_locked`` assume the caller already holds it.
 """
 

@@ -19,8 +19,8 @@ runs to completion in the task that called :meth:`GatewayService.handle`:
    request hands its slot over, round-robin across tenants, so one hot
    tenant's backlog cannot starve another's single request;
 4. **batch** -- identical in-flight reads coalesce: one flight issues
-   the backend call, riders await its result (the async face of the
-   executor's ``map_shared`` and the store's
+   the backend call, riders await its result (the async face of
+   :class:`~repro.perf.coalesce.SingleFlight` and the store's
    :class:`~repro.perf.coalesce.BatchCoalescer`);
 5. **dispatch** -- chaos site ``gateway.dispatch``, then the backend
    seam.  Reads flagged for degradation go out with

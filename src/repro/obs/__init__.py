@@ -4,8 +4,7 @@ The subsystem has three pieces:
 
 * **Spans** (:mod:`repro.obs.tracing`) -- ``with obs.span("shard.find",
   layer="shard", shard=3):`` builds per-query trace trees with wall
-  time and layer attribution, propagated across the
-  :class:`~repro.core.executor.ShardExecutor` fan-out via contextvars.
+  time and layer attribution, nested through a context variable.
   Off by default; ``enable_tracing(sample_rate)`` turns it on.
 * **Metrics registry** (:mod:`repro.obs.metrics`) -- named counters,
   gauges, and fixed-bucket latency histograms (p50/p95/p99). The

@@ -4,10 +4,8 @@ A :class:`Span` marks one timed region of the query path and carries a
 ``layer`` tag attributing it to a storage layer (``graph_store`` ->
 ``shard`` -> ``nodefile``/``edgefile`` -> ``succinct`` kernels, or
 ``logstore`` / ``pointer`` hops). Spans nest through a
-:mod:`contextvars` context variable, so the tree survives the
-:class:`~repro.core.executor.ShardExecutor` thread-pool fan-out: the
-executor copies the caller's context into each worker task, and child
-spans created on worker threads attach to the fanned-out parent.
+:mod:`contextvars` context variable, so each thread and each asyncio
+task sees its own current span.
 
 Tracing is **off by default** and the disabled path costs nothing:
 ``@obs.traced`` methods are bound to their undecorated functions until

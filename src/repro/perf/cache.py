@@ -28,8 +28,10 @@ under budget pressure. O(1) per mutation, no key scans, no TTLs.
 
 **Single-flight loads.** :meth:`HotSetCache.get_or_load` guarantees at
 most one loader runs per key at a time: concurrent misses on a hot key
-block on the leader's :class:`threading.Event` instead of stampeding
-the compressed store. Loaders run outside the cache lock.
+join the leader's :class:`~repro.perf.coalesce.SingleFlight` instead of
+stampeding the compressed store. The leader caches the value *before*
+its flight is unpublished, so a caller arriving at any moment finds
+either the flight or the entry. Loaders run outside the cache lock.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, Dict, Hashable, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.perf.coalesce import _Flight
+from repro.perf.coalesce import SingleFlight
 
 # Charged per entry on top of the payload estimate: key tuple, two
 # OrderedDict links, and the (value, nbytes) slot.
@@ -157,13 +159,12 @@ class HotSetCache:
         self._probation = OrderedDict()
         self._protected: "OrderedDict[Hashable, Tuple[object, int]]"
         self._protected = OrderedDict()
-        self._flights: Dict[Hashable, _Flight] = {}
+        self._loads = SingleFlight()
         self._bytes = 0
         self._protected_bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._coalesced = 0
         _publish_cache_metrics(self)
 
     # -- reads ---------------------------------------------------------
@@ -261,40 +262,26 @@ class HotSetCache:
         including :class:`BaseException` crash faults -- propagate to
         every waiter and cache nothing.
         """
-        while True:
+        with self._lock:
+            value = self._get_locked(key)
+            if value is not _MISS:
+                self._hits += 1
+                return value
+
+        def load() -> object:
+            # Re-check under the flight: a previous leader may have
+            # cached the value between our miss and this flight.
             with self._lock:
                 value = self._get_locked(key)
                 if value is not _MISS:
                     self._hits += 1
                     return value
-                flight = self._flights.get(key)
-                leader = flight is None
-                if leader:
-                    self._misses += 1
-                    flight = _Flight()
-                    self._flights[key] = flight
-                else:
-                    self._coalesced += 1
-            if leader:
-                break
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            return flight.value
-        try:
+                self._misses += 1
             value = loader()
-            flight.value = value
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            # Unpublish before waking waiters so post-completion
-            # callers re-enter via the cache, not a dead flight.
-            with self._lock:
-                self._flights.pop(key, None)
-            flight.event.set()
-        self.put(key, value, nbytes=nbytes)
-        return value
+            self.put(key, value, nbytes=nbytes)
+            return value
+
+        return self._loads.do(key, load)
 
     # -- management ----------------------------------------------------
 
@@ -324,7 +311,7 @@ class HotSetCache:
                 "hits": hits,
                 "misses": misses,
                 "evictions": self._evictions,
-                "coalesced_loads": self._coalesced,
+                "coalesced_loads": self._loads.shared,
                 "bytes": self._bytes,
                 "entries": len(self._probation) + len(self._protected),
                 "budget_bytes": self.budget.total_bytes,

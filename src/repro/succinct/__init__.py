@@ -26,7 +26,6 @@ from repro.succinct.coding import (
 )
 from repro.succinct.kv import SuccinctKV
 from repro.succinct.npa import NextPointerArray
-from repro.succinct.sais import build_suffix_array_sais
 from repro.succinct.stats import AccessStats
 from repro.succinct.succinct_file import SuccinctFile
 from repro.succinct.suffix_array import build_suffix_array, inverse_permutation
@@ -38,7 +37,6 @@ __all__ = [
     "SuccinctFile",
     "SuccinctKV",
     "build_suffix_array",
-    "build_suffix_array_sais",
     "delta_encoded_bit_size",
     "elias_gamma_bit_size",
     "inverse_permutation",

@@ -56,17 +56,12 @@ class SuccinctFile:
             bits for the samples, lookup latency ~ ``alpha`` hops.
         stats: optional shared :class:`AccessStats` to accumulate into
             (shards owned by one server share a single meter).
-        sa_algorithm: suffix-array builder -- ``"doubling"`` (vectorized
-            prefix doubling, the default) or ``"sais"`` (linear-time
-            SA-IS).
     """
 
-    def __init__(self, data: bytes, alpha: int = 32, stats: Optional[AccessStats] = None,
-                 sa_algorithm: str = "doubling") -> None:
+    def __init__(self, data: bytes, alpha: int = 32,
+                 stats: Optional[AccessStats] = None) -> None:
         if alpha < 1:
             raise ValueError("alpha must be >= 1")
-        if sa_algorithm not in ("doubling", "sais"):
-            raise ValueError("sa_algorithm must be 'doubling' or 'sais'")
         data = bytes(data)  # zipg: owned-copy
         if SENTINEL in data:
             raise ValueError("input data must not contain the sentinel byte 0x00")
@@ -77,12 +72,7 @@ class SuccinctFile:
         text = data + bytes([SENTINEL])
         n = len(text)
         self._n = n
-        if sa_algorithm == "sais":
-            from repro.succinct.sais import build_suffix_array_sais
-
-            suffix_array = build_suffix_array_sais(text)
-        else:
-            suffix_array = build_suffix_array(text)
+        suffix_array = build_suffix_array(text)
         isa = inverse_permutation(suffix_array)
         self._npa = NextPointerArray.from_text(text, suffix_array, isa)
 

@@ -73,15 +73,6 @@ class TestLockRules:
         assert "acquisition-order cycle" in messages
         assert "Right._right_lock" in messages
 
-    def test_executor_map_without_stats_of_flagged(self):
-        path = fixture("executor_stats.py")
-        found = hits(findings_for("executor_stats.py", ["LOCK003"]))
-        assert ("LOCK003", line_of(path, "LOCK003: no stats_of=")) in found
-
-    def test_executor_map_with_stats_of_not_flagged(self):
-        found = findings_for("executor_stats.py", ["LOCK003"])
-        assert len(found) == 1  # only the bad fan-out
-
 
 # ----------------------------------------------------------------------
 # Byte-layout invariants
@@ -486,7 +477,7 @@ class TestCli:
         assert analysis_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "LOCK001", "LOCK002", "LOCK003",
+            "LOCK001", "LOCK002",
             "LAYOUT001", "LAYOUT002",
             "HOT001", "HOT002",
             "API001", "API002",

@@ -74,7 +74,7 @@ class TestInstrumentLockPolicy:
 
         def racy():
             try:
-                stats.npa_hops += 1  # the exact bug LOCK003 guards against
+                stats.npa_hops += 1  # unlocked write from a second thread
             except LockDisciplineViolation as exc:
                 errors.append(exc)
 

@@ -1,4 +1,4 @@
-"""Tests for the vectorized Succinct query kernels, the parallel shard
+"""Tests for the vectorized Succinct query kernels, the serial shard
 fan-out executor, and the LogStore pointer/size bugfixes.
 
 The kernel tests are property tests: the batched paths must be
@@ -7,6 +7,8 @@ random inputs. The regression tests pin the two confirmed bugs --
 dangling ACTIVE_LOGSTORE pointers after physical edge deletes, and the
 freeze threshold firing on tombstoned (dead) payload.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -151,69 +153,91 @@ class TestAccessStats:
 
 class TestShardExecutor:
     def test_map_preserves_order(self):
-        with ShardExecutor(max_workers=4) as executor:
-            assert executor.map(lambda x: x * x, range(20)) == [
-                x * x for x in range(20)
-            ]
+        executor = ShardExecutor()
+        assert executor.map(lambda x: x * x, range(20)) == [
+            x * x for x in range(20)
+        ]
 
     def test_map_serial_when_one_worker(self):
-        executor = ShardExecutor(max_workers=1)
-        assert executor.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-        assert executor._pool is None  # never spawned threads
+        # The caller's thread is the only worker: every item runs on it.
+        seen = set()
+
+        def work(x):
+            seen.add(threading.get_ident())
+            return x + 1
+
+        assert ShardExecutor().map(work, [1, 2, 3]) == [2, 3, 4]
+        assert seen == {threading.get_ident()}
 
     def test_map_propagates_exceptions(self):
         def boom(x):
             raise RuntimeError("shard failure")
 
-        with ShardExecutor(max_workers=2) as executor:
-            with pytest.raises(RuntimeError, match="shard failure"):
-                executor.map(boom, [1, 2])
+        with pytest.raises(RuntimeError, match="shard failure"):
+            ShardExecutor().map(boom, [1, 2])
 
     def test_shared_stats_items_never_race(self):
-        import threading
-
         shared = AccessStats()
-        seen_threads = {}
+        seen_threads = set()
 
-        class Item:
-            def __init__(self, index, stats):
-                self.index = index
-                self.stats = stats
+        def work(index):
+            # Unlocked increment: safe because map never leaves the
+            # caller's thread.
+            seen_threads.add(threading.get_ident())
+            shared.npa_hops += 1
+            return index
 
-        def work(item):
-            # Unlocked increment: only safe because items sharing a
-            # stats object run in one serial task.
-            seen_threads.setdefault(id(item.stats), set()).add(
-                threading.get_ident()
-            )
-            item.stats.npa_hops += 1
-            return item.index
-
-        items = [Item(i, shared) for i in range(50)]
-        with ShardExecutor(max_workers=8) as executor:
-            results = executor.map(work, items, stats_of=lambda i: i.stats)
-        assert results == list(range(50))
+        assert ShardExecutor().map(work, range(50)) == list(range(50))
         assert shared.npa_hops == 50
-        assert len(seen_threads[id(shared)]) == 1
+        assert seen_threads == {threading.get_ident()}
 
     def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            ShardExecutor(max_workers=0)
+        # The pool width knob is gone; no worker count is accepted.
+        with pytest.raises(TypeError):
+            ShardExecutor(max_workers=1)
+        with pytest.raises(TypeError):
+            ShardExecutor(4)
+        with pytest.raises(TypeError):
+            ZipG.compress(GraphData(), max_workers=1)
 
     def test_store_fanout_matches_serial(self):
         graph = GraphData()
         for node_id in range(16):
             graph.add_node(node_id, {"name": f"n{node_id}", "city": "Ithaca"})
             graph.add_edge(node_id, (node_id + 1) % 16, 0, node_id, {"w": "1"})
-        serial = ZipG.compress(graph, num_shards=4, alpha=4, max_workers=1)
-        parallel = ZipG.compress(graph, num_shards=4, alpha=4, max_workers=4)
-        assert serial.get_node_ids({"city": "Ithaca"}) == parallel.get_node_ids(
-            {"city": "Ithaca"}
+        store = ZipG.compress(graph, num_shards=4, alpha=4)
+        locations = [store.logstore] + store.shards
+        expected = sorted(
+            node
+            for location in locations
+            for node in location.find_live_nodes({"city": "Ithaca"})
         )
-        serial_hits = serial.find_edges("w", "1")
-        parallel_hits = parallel.find_edges("w", "1")
-        assert [(s, t, d.destination) for s, t, d in serial_hits] == [
-            (s, t, d.destination) for s, t, d in parallel_hits
+        assert store.get_node_ids({"city": "Ithaca"}) == expected == list(range(16))
+        expected_edges = sorted(
+            (s, t, d.destination)
+            for location in locations
+            for s, t, d in location.find_edges_by_property("w", "1")
+        )
+        assert [
+            (s, t, d.destination) for s, t, d in store.find_edges("w", "1")
+        ] == expected_edges
+
+    def test_broadcasts_spawn_no_shard_threads(self):
+        from repro.cluster import ReplicatedZipGCluster, ZipGCluster
+
+        graph = GraphData()
+        for node_id in range(12):
+            graph.add_node(node_id, {"city": "Ithaca"})
+            graph.add_edge(node_id, (node_id + 1) % 12, 0, node_id, {"w": "1"})
+        store = ZipG.compress(graph, num_shards=4, alpha=4)
+        replicated = ReplicatedZipGCluster(store, num_servers=2)
+        for target in (store, ZipGCluster(store, num_servers=2), replicated):
+            assert target.get_node_ids({"city": "Ithaca"}) == list(range(12))
+        for target in (store, replicated):
+            assert len(target.find_edges("w", "1")) == 12
+        assert not [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith("zipg-shard")
         ]
 
 

@@ -177,39 +177,40 @@ class Flaky:
 
 
 class TestExecutorResilience:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_retries_recover_flaky_items(self, workers):
-        with ShardExecutor(workers) as executor:
-            assert executor.map(Flaky(2), [1, 2, 3], retries=2) == [10, 20, 30]
+    @pytest.mark.parametrize("fail_first", [1, 4])
+    def test_retries_recover_flaky_items(self, fail_first):
+        flaky = Flaky(fail_first)
+        assert ShardExecutor().map(flaky, [1, 2, 3], retries=fail_first) == [10, 20, 30]
+        assert flaky.calls == {1: fail_first + 1, 2: fail_first + 1, 3: fail_first + 1}
 
     def test_failure_propagates_when_retries_exhausted(self):
-        with ShardExecutor(2) as executor:
-            with pytest.raises(RuntimeError):
-                executor.map(Flaky(3), [1, 2], retries=1)
+        with pytest.raises(RuntimeError):
+            ShardExecutor().map(Flaky(3), [1, 2], retries=1)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_partial_mode_returns_structured_results(self, workers):
+    @pytest.mark.parametrize("retries", [1, 3])
+    def test_partial_mode_returns_structured_results(self, retries):
         def only_even(item):
             if item % 2:
                 raise ValueError(f"odd {item}")
             return item
 
-        with ShardExecutor(workers) as executor:
-            results = executor.map(only_even, [0, 1, 2, 3], partial=True)
+        results = ShardExecutor().map(only_even, [0, 1, 2, 3],
+                                      retries=retries, partial=True)
         assert [r.index for r in results] == [0, 1, 2, 3]
         assert all(isinstance(r, ShardResult) for r in results)
         assert [r.ok for r in results] == [True, False, True, False]
         assert results[2].value == 2
         assert isinstance(results[1].error, ValueError)
-        assert results[1].attempts == 1
+        assert results[1].attempts == retries + 1
+        assert results[0].attempts == 1
 
     def test_deadline_converts_slow_calls(self):
         def slow(item):
             time.sleep(0.03)
             return item
 
-        with ShardExecutor(1) as executor:
-            results = executor.map(slow, [1], deadline_s=0.001, partial=True)
+        executor = ShardExecutor()
+        results = executor.map(slow, [1], deadline_s=0.001, partial=True)
         assert not results[0].ok
         assert isinstance(results[0].error, DeadlineExceeded)
 
@@ -224,8 +225,8 @@ class TestExecutorResilience:
                 raise ValueError("transient")
             return item
 
-        with ShardExecutor(1) as executor:
-            assert executor.map(fail_once, [5], deadline_s=5.0, retries=1) == [5]
+        executor = ShardExecutor()
+        assert executor.map(fail_once, [5], deadline_s=5.0, retries=1) == [5]
         assert len(calls) == 2
 
     def test_deadline_budgets_whole_retry_loop(self):
@@ -241,11 +242,11 @@ class TestExecutorResilience:
             time.sleep(0.03)
             return item
 
-        with ShardExecutor(1) as executor:
-            begin = time.monotonic()
-            results = executor.map(slow, [5], deadline_s=0.02, retries=3,
-                                   partial=True)
-            wall = time.monotonic() - begin
+        executor = ShardExecutor()
+        begin = time.monotonic()
+        results = executor.map(slow, [5], deadline_s=0.02, retries=3,
+                               partial=True)
+        wall = time.monotonic() - begin
         assert not results[0].ok
         assert isinstance(results[0].error, DeadlineExceeded)
         # Old behavior: 4 attempts x 0.03s each = ~0.12s. New: the
@@ -263,9 +264,9 @@ class TestExecutorResilience:
             time.sleep(0.03)
             raise ValueError("kaput")
 
-        with ShardExecutor(1) as executor:
-            results = executor.map(slow_fail, [5], deadline_s=0.02,
-                                   retries=5, partial=True)
+        executor = ShardExecutor()
+        results = executor.map(slow_fail, [5], deadline_s=0.02,
+                               retries=5, partial=True)
         assert len(calls) == 1
         assert not results[0].ok
         assert isinstance(results[0].error, DeadlineExceeded)
@@ -282,13 +283,13 @@ class TestExecutorResilience:
                 raise ValueError("transient")
             return item
 
-        with ShardExecutor(1) as executor:
-            begin = time.monotonic()
-            # backoff_s far exceeds the budget: sleeping would make the
-            # retry pointless, so it must be skipped and still succeed.
-            assert executor.map(fail_once, [5], deadline_s=0.5,
-                                retries=1, backoff_s=10.0) == [5]
-            wall = time.monotonic() - begin
+        executor = ShardExecutor()
+        begin = time.monotonic()
+        # backoff_s far exceeds the budget: sleeping would make the
+        # retry pointless, so it must be skipped and still succeed.
+        assert executor.map(fail_once, [5], deadline_s=0.5,
+                            retries=1, backoff_s=10.0) == [5]
+        wall = time.monotonic() - begin
         assert len(calls) == 2
         assert wall < 1.0
 
@@ -298,8 +299,8 @@ class TestExecutorResilience:
                              match={"index": 1}, times=1)]
         )
         with chaos.injected(injector):
-            with ShardExecutor(2) as executor:
-                assert executor.map(lambda x: x, [7, 8, 9], retries=1) == [7, 8, 9]
+            executor = ShardExecutor()
+            assert executor.map(lambda x: x, [7, 8, 9], retries=1) == [7, 8, 9]
         assert injector.injection_log == [(chaos.SITE_EXECUTOR_CALL, "error")]
 
     def test_simulated_crash_is_not_retried(self):
@@ -307,12 +308,12 @@ class TestExecutorResilience:
             rules=[FaultRule(site=chaos.SITE_EXECUTOR_CALL, fault="crash")]
         )
         with chaos.injected(injector):
-            with ShardExecutor(1) as executor:
-                with pytest.raises(SimulatedCrash):
-                    executor.map(lambda x: x, [1], retries=5, partial=True)
+            executor = ShardExecutor()
+            with pytest.raises(SimulatedCrash):
+                executor.map(lambda x: x, [1], retries=5, partial=True)
 
     def test_backoff_waits_between_attempts(self):
         start = time.monotonic()
-        with ShardExecutor(1) as executor:
-            executor.map(Flaky(1), [1], retries=1, backoff_s=0.02)
+        executor = ShardExecutor()
+        executor.map(Flaky(1), [1], retries=1, backoff_s=0.02)
         assert time.monotonic() - start >= 0.02

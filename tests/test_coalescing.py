@@ -1,18 +1,19 @@
 """Single-flight and batch coalescing (repro.perf.coalesce), the
-executor's shared fan-outs, and the cluster retry/backoff/deadline
-knobs flowing through the coalesced broadcast path."""
+cluster's shared broadcast fan-outs, and the cluster
+retry/backoff/deadline knobs flowing through the coalesced broadcast
+path."""
 
 import threading
 import time
 
 import pytest
 
-from repro import chaos
+from repro import chaos, obs
 from repro.chaos import ChaosInjector, FaultInjected, FaultRule
 from repro.cluster.replication import ReplicatedZipGCluster
 from repro.core import GraphData, ZipG
 from repro.core.errors import DeadlineExceeded
-from repro.core.executor import ShardExecutor
+from repro.obs.metrics import Counter
 from repro.perf import BatchCoalescer, SingleFlight
 
 
@@ -192,56 +193,114 @@ class TestBatchCoalescer:
 
 
 # ----------------------------------------------------------------------
-# ShardExecutor.map_shared
+# Shared broadcast fan-outs (ReplicatedZipGCluster._broadcast)
 # ----------------------------------------------------------------------
 
 
-class TestMapShared:
-    def test_none_key_bypasses_coalescing(self):
-        with ShardExecutor(max_workers=1) as executor:
-            assert executor.map_shared(None, lambda x: x + 1, [1, 2]) == [2, 3]
+def coalesced_fanouts():
+    return sum(m.value for m in obs.get_registry().metrics()
+               if isinstance(m, Counter)
+               and m.name == "zipg_executor_coalesced_fanouts_total")
 
-    def test_concurrent_identical_fanouts_share_one_execution(self):
-        executor = ShardExecutor(max_workers=2)
-        calls = []
-        release = threading.Event()
-        entered = threading.Event()
 
-        def fn(item):
-            calls.append(item)
+def gate_first_fanout(monkeypatch, store):
+    """Make the store's first fan-out block until ``release`` is set;
+    returns ``(entered, release, fanouts)``."""
+    entered, release = threading.Event(), threading.Event()
+    fanouts = []
+    real = store.executor.map
+
+    def gated(*args, **kwargs):
+        fanouts.append(1)
+        if len(fanouts) == 1:
             entered.set()
             release.wait(5)
-            return item * 2
+        return real(*args, **kwargs)
 
+    monkeypatch.setattr(store.executor, "map", gated)
+    return entered, release, fanouts
+
+
+class TestMapShared:
+    """Identical concurrent broadcasts share one fan-out through the
+    cluster's SingleFlight (formerly ``ShardExecutor.map_shared``)."""
+
+    def test_none_key_bypasses_coalescing(self, monkeypatch):
+        cluster = ReplicatedZipGCluster(build_store(), num_servers=2,
+                                        replication_factor=1)
+
+        def no_flights(*args):
+            raise AssertionError("args_key=None must not single-flight")
+
+        monkeypatch.setattr(cluster._broadcast_flights, "do", no_flights)
+        hits = cluster._broadcast("get_node_ids", "find_live_nodes",
+                                  [{"city": "Ithaca"}], list, False)
+        assert sorted(node for unit in hits for node in unit) == [1, 3]
+
+    def test_concurrent_identical_fanouts_share_one_execution(self, monkeypatch):
+        store = build_store()
+        cluster = ReplicatedZipGCluster(store, num_servers=2,
+                                        replication_factor=1)
+        entered, release, fanouts = gate_first_fanout(monkeypatch, store)
+        before = coalesced_fanouts()
         results = [None, None]
 
         def call(slot):
-            results[slot] = executor.map_shared(("q", 7), fn, [1, 2])
+            results[slot] = cluster.get_node_ids({"city": "Ithaca"})
 
         leader = threading.Thread(target=call, args=(0,))
         leader.start()
         assert entered.wait(5)
         follower = threading.Thread(target=call, args=(1,))
         follower.start()
-        _await(lambda: executor._fanout_flights.shared == 1)
+        _await(lambda: cluster._broadcast_flights.shared == 1)
         release.set()
         leader.join(5)
         follower.join(5)
-        executor.close()
-        assert results[0] == results[1] == [2, 4]
-        assert sorted(calls) == [1, 2]  # one fan-out total, not two
+        assert results[0] == results[1] == [1, 3]
+        assert len(fanouts) == 1  # one fan-out total, not two
+        assert coalesced_fanouts() - before == 1
 
-    def test_different_keys_do_not_share(self):
-        with ShardExecutor(max_workers=1) as executor:
-            calls = []
+    def test_different_keys_do_not_share(self, monkeypatch):
+        store = build_store()
+        cluster = ReplicatedZipGCluster(store, num_servers=2,
+                                        replication_factor=1)
+        entered, release, fanouts = gate_first_fanout(monkeypatch, store)
+        results = {}
 
-            def fn(item):
-                calls.append(item)
-                return item
+        def call(city):
+            results[city] = cluster.get_node_ids({"city": city})
 
-            executor.map_shared(("q", 1), fn, [1])
-            executor.map_shared(("q", 2), fn, [1])
-            assert len(calls) == 2
+        leader = threading.Thread(target=call, args=("Ithaca",))
+        leader.start()
+        assert entered.wait(5)
+        call("Boston")  # runs its own fan-out while the leader is parked
+        release.set()
+        leader.join(5)
+        assert results == {"Ithaca": [1, 3], "Boston": [2]}
+        assert len(fanouts) == 2
+        assert cluster._broadcast_flights.shared == 0
+
+    def test_broadcast_after_write_is_not_shared(self, monkeypatch):
+        store = build_store()
+        cluster = ReplicatedZipGCluster(store, num_servers=2,
+                                        replication_factor=1)
+        entered, release, fanouts = gate_first_fanout(monkeypatch, store)
+        results = {}
+
+        def before_write():
+            results["before"] = cluster.get_node_ids({"city": "Ithaca"})
+
+        leader = threading.Thread(target=before_write)
+        leader.start()
+        assert entered.wait(5)
+        cluster.append_node(9, {"city": "Ithaca"})  # bumps the store epoch
+        # Same query, new epoch: a fresh fan-out that sees the write.
+        assert cluster.get_node_ids({"city": "Ithaca"}) == [1, 3, 9]
+        release.set()
+        leader.join(5)
+        assert len(fanouts) == 2
+        assert cluster._broadcast_flights.shared == 0
 
 
 # ----------------------------------------------------------------------
@@ -255,13 +314,13 @@ class TestClusterKnobs:
         cluster = ReplicatedZipGCluster(store, num_servers=2,
                                         replication_factor=1)
         keys = []
-        real = store.executor.map_shared
+        real = cluster._broadcast_flights.do
 
-        def spy(flight_key, *args, **kwargs):
+        def spy(flight_key, fn):
             keys.append(flight_key)
-            return real(flight_key, *args, **kwargs)
+            return real(flight_key, fn)
 
-        monkeypatch.setattr(store.executor, "map_shared", spy)
+        monkeypatch.setattr(cluster._broadcast_flights, "do", spy)
         expected = cluster.get_node_ids({"city": "Ithaca"})
         assert cluster.get_node_ids({"city": "Ithaca"}) == expected
         assert keys[0] is not None and keys[0] == keys[1]

@@ -628,14 +628,13 @@ class TestGatewayChaos:
 # ----------------------------------------------------------------------
 
 
-def make_cluster(max_workers=None):
+def make_cluster():
     graph = GraphData()
     for i in range(16):
         graph.add_node(i, {"name": f"n{i}", "kind": "x" if i % 2 else "y"})
         graph.add_edge(i, (i + 1) % 16, 0, timestamp=i)
     store = ZipG.compress(graph, num_shards=2, alpha=8,
-                          logstore_threshold_bytes=1 << 20,
-                          max_workers=max_workers)
+                          logstore_threshold_bytes=1 << 20)
     return ReplicatedZipGCluster(store, num_servers=2, replication_factor=1)
 
 
@@ -707,9 +706,9 @@ class ServedStack:
     ``serve-*`` topology in one process."""
 
     def __init__(self, **gateway_config):
-        # Serial shard fan-out: every thread left is a serving thread,
-        # so the census below is exact.
-        self.cluster = make_cluster(max_workers=1)
+        # Shard fan-out is serial: every thread left is a serving
+        # thread, so the census below is exact.
+        self.cluster = make_cluster()
         self.loopback = LoopbackCluster(self.cluster.store, num_servers=2)
         self.cluster.transport = self.loopback.transport
         self.master = MasterServer(self.cluster).start()

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.core import GraphData, ZipG
 from repro.core.executor import ShardExecutor
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.tracing import LAYER_TIME_COUNTER, NULL_SPAN, SPAN_HISTOGRAM
@@ -177,46 +178,29 @@ class TestSpans:
 
 
 # ----------------------------------------------------------------------
-# Thread-pool fan-out propagation
+# Fan-out span nesting
 # ----------------------------------------------------------------------
 
 
 class TestFanOutPropagation:
-    def test_children_attach_to_parent_across_threads(self):
+    def test_shard_spans_are_direct_children(self):
+        graph = GraphData()
+        for node_id in range(8):
+            graph.add_node(node_id, {"city": "Ithaca"})
+        store = ZipG.compress(graph, num_shards=4, alpha=4)
         obs.enable_tracing()
-        executor = ShardExecutor(max_workers=4)
-        seen_threads = set()
-
-        def work(item):
-            seen_threads.add(threading.get_ident())
-            with obs.span("fan.child", layer="shard", item=item):
-                return item * item
-
-        try:
-            with obs.span("fan.root", layer="graph_store") as root:
-                results = executor.map(work, list(range(8)))
-        finally:
-            executor.close()
-
-        assert results == [i * i for i in range(8)]
-        # The parallel path ran: every item executed off the caller's
-        # thread (how many pool threads actually picked work up is
-        # scheduler-dependent, so that is deliberately not asserted).
-        assert threading.get_ident() not in seen_threads
-        names = [span.name for span in root.walk()]
-        # Every worker group span and every child landed under the root.
-        assert names.count("executor.worker") == 8
-        assert names.count("fan.child") == 8
-        workers = [s for s in root.children if s.name == "executor.worker"]
-        assert len(workers) == 8
-        for worker in workers:
-            assert [c.name for c in worker.children] == ["fan.child"]
-        # One trace total: nothing on the pool threads became a root.
-        assert len(obs.get_tracer().traces) == 1
+        assert store.get_node_ids({"city": "Ithaca"}) == list(range(8))
+        traces = obs.get_tracer().traces
+        assert len(traces) == 1  # nothing in the fan-out became a root
+        (root,) = traces
+        assert root.name == "graph_store.get_node_ids"
+        assert [child.name for child in root.children] == (
+            ["logstore.find_live_nodes"] + ["shard.find_live_nodes"] * 4
+        )
 
     def test_serial_executor_still_nests(self):
         obs.enable_tracing()
-        executor = ShardExecutor(max_workers=1)
+        executor = ShardExecutor()
 
         def work(item):
             with obs.span("serial.child", layer="shard"):

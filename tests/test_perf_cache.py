@@ -178,6 +178,36 @@ class TestHotSetCache:
         assert results == ["value"] * 5
         assert len(calls) == 1  # one loader execution for 5 callers
 
+    def test_get_or_load_late_caller_does_not_reload(self, monkeypatch):
+        """Regression: the leader used to unpublish its flight *before*
+        caching the value, so a caller arriving in between missed both
+        the cache and the flight table and ran the loader again."""
+        cache = HotSetCache(1 << 20)
+        calls, late, callers = [], [], []
+
+        def loader():
+            calls.append(1)
+            return "value"
+
+        real_put = cache.put
+
+        def put_with_late_caller(key, value, nbytes=None):
+            if not callers:  # a second caller arrives as the leader caches
+                callers.append(threading.Thread(
+                    target=lambda: late.append(cache.get_or_load(key, loader))
+                ))
+                callers[0].start()
+                callers[0].join(0.2)
+            return real_put(key, value, nbytes=nbytes)
+
+        monkeypatch.setattr(cache, "put", put_with_late_caller)
+        assert cache.get_or_load("k", loader) == "value"
+        callers[0].join(5)
+        assert late == ["value"]
+        assert len(calls) == 1
+        snap = cache.stats()
+        assert (snap["misses"], snap["coalesced_loads"]) == (1, 1)
+
     def test_get_or_load_propagates_loader_errors(self):
         cache = HotSetCache(1 << 16)
 

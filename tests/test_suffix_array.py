@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.succinct import build_suffix_array, inverse_permutation
 
@@ -22,6 +24,7 @@ class TestSuffixArray:
             b"ba",
             b"the quick brown fox",
             bytes(range(1, 256)),
+            b"abab" * 40 + b"aab" * 30,  # long repeats: many doubling rounds
         ],
     )
     def test_matches_naive(self, text):
@@ -36,6 +39,11 @@ class TestSuffixArray:
             length = int(rng.integers(1, 200))
             text = bytes(rng.integers(1, 5, length, dtype=np.uint8))  # tiny alphabet
             assert build_suffix_array(text).tolist() == naive_suffix_array(text)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.binary(min_size=0, max_size=150))
+    def test_matches_naive_on_arbitrary_bytes(self, data):
+        assert build_suffix_array(data).tolist() == naive_suffix_array(data)
 
     def test_is_permutation(self):
         sa = build_suffix_array(b"compressing graphs with succinct structures")
