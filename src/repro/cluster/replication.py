@@ -6,65 +6,57 @@ replicas per shard. Queries are load balanced evenly across multiple
 replicas."
 
 Each shard is placed on ``replication_factor`` consecutive servers.
-Reads rotate round-robin over a shard's *live* replicas; failing a
-server re-routes its shards' reads to the surviving replicas, and a
-shard whose replicas are all down makes queries raise
-:class:`ShardUnavailable`.
+A server is *live* when it is neither down nor replaying a missed
+oplog tail.  Every per-server read goes through one failover loop
+(:meth:`ReplicatedZipGCluster._failover`); callers differ only in the
+ordered candidate servers they hand it:
 
-Degraded-query semantics on top of that placement:
+* a shard unit: its live replicas, starting at this read's rotation
+  slot (:meth:`ReplicatedZipGCluster.call_on_shard`);
+* the LogStore unit (:data:`LOGSTORE_UNIT`, unreplicated, §3.5): its
+  server if live -- while that server is down *or catching up* the
+  unit is :class:`ShardUnavailable`;
+* ``get_node_property``: the owning shard's live replicas.
 
-* :meth:`ReplicatedZipGCluster.call_on_shard` tries a shard's live
-  replicas in rotation order; a replica call that raises fails over to
-  the next live replica (``zipg_replica_failovers_total``) and only
-  raises :class:`~repro.core.errors.ReplicaCallError` -- carrying every
-  ``(server, exception)`` attempt -- once *all* live replicas failed.
-* The broadcast queries (``get_node_ids`` / ``find_edges``) accept
-  ``partial_results=True``: instead of raising on the first exhausted
-  shard they return a :class:`PartialResult` with the merged value from
-  the shards that answered plus one structured :class:`ShardError` per
-  shard that did not.
-* Replica calls pass through the ``replication.replica_call`` chaos
-  site, so :mod:`repro.chaos` can fail chosen servers deterministically.
+Each attempt passes the ``replication.replica_call`` chaos site.  A
+call that raises fails over to the next candidate
+(``zipg_replica_failovers_total``); no candidate is
+:class:`ShardUnavailable`, every candidate failing is
+:class:`~repro.core.errors.ReplicaCallError` with the
+``(server, exception)`` attempts.  ``NodeNotFound`` is an answer, not
+a failure: reads only reach caught-up servers, so the first one's miss
+is re-raised as is.  The broadcast queries (``get_node_ids`` /
+``find_edges``) accept ``partial_results=True`` and then return a
+:class:`PartialResult`: the merged value from the units that answered
+plus one :class:`ShardError` per unit that did not.
 
-Per-server operations dispatch through the cluster's
-:class:`~repro.server.transport.Transport` (``self.transport``): the
-default in-process backend answers from the shared local store exactly
-as the pre-serving-layer code did, and a socket backend routes the
-same ``(method, args, unit)`` triples to real shard-server processes
--- failover, retries, deadlines, and ``partial_results`` degradation
-apply identically to both because transport failures surface as
-retryable :class:`~repro.core.errors.TransportError`\\ s.
+Per-server operations dispatch through ``self.transport`` (in-process
+by default, or shard-server processes over sockets); transport
+failures surface as retryable
+:class:`~repro.core.errors.TransportError`\\ s, so both behave alike.
 
 Writes replicate: each mutation is applied locally, assigned a
 monotone cluster LSN, recorded in an in-memory oplog (the WAL record
 vocabulary), and shipped to every live server as an ``apply_write``
-RPC.  A server that misses writes while down is *not* re-admitted to
-read rotation by :meth:`ReplicatedZipGCluster.recover_server` until
-its missed oplog tail has been replayed -- re-admitting immediately
-(the old behavior) let reads route to a replica that was missing
-acknowledged writes.  Replicas mid-catch-up are counted by the
-``zipg_replicas_catching_up`` gauge.
-
-Rotation, down-server, and catch-up state are guarded by one lock:
-concurrent callers (gateway submissions, server connections) query
-while ``fail_server`` runs on another thread.  Writes and
-catch-up serialize on a separate write lock (always taken *before*
-the state lock) so the oplog and the commit LSN stay consistent.
+RPC.  :meth:`ReplicatedZipGCluster.recover_server` holds a returning
+server out of rotation (``catching_up_servers``) until its missed
+tail is replayed; a failed replay sends it back to down.  Rotation,
+down-server, and catch-up state share one lock; writes and catch-up
+serialize on a write lock taken *before* it.
 
 **Erasure-coded placement** (``placement="ec"``, :mod:`repro.ec`):
-instead of ``replication_factor`` whole-shard copies, each immutable
-snapshot file is split into ``k`` data + ``m`` parity fragments spread
-round-robin across the servers (the hot oplog tail stays fully
-replicated exactly as above).  Shard-unit reads route to the single
-owning server; when it is down, the cluster reconstructs the shard
-from any ``k`` surviving fragments (``zipg_ec_reconstructions_total``,
-``ec.decode`` span) and answers *completely* -- no ``partial_results``
-degradation for single-server loss.  Reconstructions replay the
-post-snapshot oplog deletes before serving, so degraded reads stay
-epoch-fresh.  ``recover_server`` replays the missed oplog tail, then
-re-creates the returning server's missing fragments in a rate-limited
-background rebuild (``ec.rebuild`` chaos site) and only then re-admits
-it -- the same catching-up hold-out replication uses.  Lock order:
+each immutable snapshot file is split into ``k`` data + ``m`` parity
+fragments spread round-robin across the servers instead of whole-shard
+copies (the hot oplog tail stays fully replicated).  A shard unit
+routes to its single owning server; when that fails, the cluster
+reconstructs the shard from any ``k`` surviving fragments
+(``zipg_ec_reconstructions_total``, ``ec.decode`` span), replays the
+post-snapshot oplog deletes onto it, and answers *completely*.  The
+pointer tables and hot tail live on every server, so the LogStore unit
+and ``get_node_property`` list every other live server after their
+owners.  Recovery is the same catch-up, then a rate-limited
+*background* rebuild of the server's missing fragments (``ec.rebuild``
+chaos site), a top-up replay, and only then re-admission.  Lock order:
 ``_ec_lock`` before ``_write_lock`` before ``_state_lock``.
 """
 # zipg: query-api
@@ -74,11 +66,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import chaos, obs
 from repro.cluster.cluster import ZipGCluster
-from repro.core.errors import FragmentCorruptError, ReconstructionFailed, ReplicaCallError
+from repro.core.errors import (
+    FragmentCorruptError, NodeNotFound, ReconstructionFailed, ReplicaCallError,
+)
 from repro.core.graph_store import ZipG
 from repro.core.model import PropertyList
 from repro.core.shard import CompressedShard
@@ -93,8 +87,16 @@ def _count_shared_fanout() -> None:
     ).inc()
 
 
+def _catching_up_gauge():
+    return obs.gauge(
+        "zipg_replicas_catching_up",
+        help="recovered replicas still replaying missed writes",
+    )
+
+
 class ShardUnavailable(RuntimeError):
-    """Every replica of a required shard is down."""
+    """No live server can answer for a required unit (a shard or the
+    LogStore): every one is down or catching up."""
 
 
 #: Pseudo shard id used to tag replica-call chaos sites and errors for
@@ -216,34 +218,75 @@ class ReplicatedZipGCluster(ZipGCluster):
             for offset in range(self.replication_factor)
         ]
 
+    def _live_locked(self, servers: Iterable[int]) -> List[int]:
+        """``servers``, in order, that reads and writes may reach: not
+        down, not replaying a missed tail.  Caller holds
+        ``_state_lock``."""
+        down, catching_up = self._down, self._catching_up
+        return [s for s in servers if s not in down and s not in catching_up]
+
     def live_replicas(self, shard_id: int) -> List[int]:
         """Replicas reads may route to: not down, not mid-catch-up."""
         with self._state_lock:
-            out = self._down | self._catching_up
-        return [s for s in self.replica_servers(shard_id) if s not in out]
+            return self._live_locked(self.replica_servers(shard_id))
 
     def server_of_shard(self, shard_id: int) -> int:
         """Round-robin read routing over the shard's live replicas."""
-        live, turn = self._route(shard_id)
+        live = self._route(shard_id, self.replica_servers(shard_id))
         if not live:
             raise ShardUnavailable(f"no live replica for shard {shard_id}")
-        return live[turn % len(live)]
+        return live[0]
 
-    def _route(self, shard_id: int) -> Tuple[List[int], int]:
-        """Atomically snapshot the live replicas and claim a rotation
-        turn for one read of ``shard_id``."""
+    def _route(self, unit: int, owners: Sequence[int],
+               spill: bool = False) -> List[int]:
+        """The servers one call on ``unit`` tries, in order: the live
+        ``owners`` starting at this call's rotation turn, then -- with
+        ``spill`` -- every other live server.  One atomic snapshot of
+        the live set."""
         with self._state_lock:
-            out = self._down | self._catching_up
-            live = [
-                s for s in self.replica_servers(shard_id)
-                if s not in out
-            ]
-            turn = self._rotation.get(shard_id, 0)
-            self._rotation[shard_id] = turn + 1
-        return live, turn
+            live = self._live_locked(owners)
+            turn = self._rotation.get(unit, 0)
+            self._rotation[unit] = turn + 1
+            rest = self._live_locked(
+                s for s in range(self.num_servers) if s not in owners
+            ) if spill else []
+        if len(live) > 1:
+            turn %= len(live)
+            live = live[turn:] + live[:turn]
+        return live + rest
+
+    def _failover(self, unit: int, candidates: List[int],
+                  fn: Callable[[int], object]) -> object:
+        """Run ``fn(server)`` on the first candidate that answers.
+
+        Each attempt kicks the ``replication.replica_call`` chaos site;
+        a raising candidate fails over to the next one
+        (``zipg_replica_failovers_total``).  No candidate at all is
+        :class:`ShardUnavailable`; every candidate failing is
+        :class:`ReplicaCallError` with the ``(server, exception)``
+        attempts.  :class:`NodeNotFound` is an answer -- candidates are
+        caught up, so the first one's miss is authoritative."""
+        if not candidates:
+            what = "the logstore" if unit == LOGSTORE_UNIT else f"shard {unit}"
+            raise ShardUnavailable(f"no live replica for {what}")
+        attempts: List[Tuple[int, BaseException]] = []
+        for server in candidates:
+            if attempts:
+                obs.counter(
+                    "zipg_replica_failovers_total",
+                    help="replica calls retried on the next live replica",
+                ).inc()
+            try:
+                chaos.kick(chaos.SITE_REPLICA_CALL, shard=unit, server=server)
+                return fn(server)
+            except NodeNotFound:
+                raise
+            except Exception as exc:
+                attempts.append((server, exc))
+        raise ReplicaCallError(unit, attempts)
 
     # ------------------------------------------------------------------
-    # Failures
+    # Failures and re-admission
     # ------------------------------------------------------------------
 
     def fail_server(self, server_id: int) -> None:
@@ -256,56 +299,73 @@ class ReplicatedZipGCluster(ZipGCluster):
     def recover_server(self, server_id: int) -> None:
         """Re-admit a server to read rotation -- after catch-up.
 
-        A server that missed replicated writes while down first
-        replays its missed oplog tail (``apply_write`` RPCs through
-        the transport); until the replay finishes it stays out of read
-        rotation (``zipg_replicas_catching_up``), because serving
-        reads from a replica missing acknowledged writes is the bug
-        this method used to have.  A server whose replay fails stays
-        down.  Holding the write lock freezes the commit LSN for the
-        duration, so "caught up" is exact, not racy.
+        The server is held out of rotation (``catching_up_servers``,
+        and the catching-up gauge) while its missed oplog tail is
+        replayed (``apply_write`` RPCs through the transport), so no
+        read reaches a replica missing acknowledged writes.  Holding
+        the write lock freezes the commit LSN, so "caught up" is
+        exact.  A server whose replay fails goes back to down.
 
-        Under ``placement="ec"`` the oplog replay is followed by a
-        rate-limited *background* fragment rebuild: the returning
-        server's missing fragments are re-encoded from the survivors
-        and pushed to it (``ec_store_fragment``), and only then is the
-        server re-admitted -- see :meth:`wait_for_rebuild`."""
+        Under ``placement="ec"`` the replay is followed by a
+        rate-limited *background* rebuild of the server's missing
+        fragments (``ec_store_fragment``), a top-up replay of the
+        writes made meanwhile, and only then re-admission -- see
+        :meth:`wait_for_rebuild`."""
         if not 0 <= server_id < self.num_servers:
             raise IndexError(f"server {server_id} out of range")
-        if self._ec is not None:
-            self._ec_recover_server(server_id)
-            return
         with self._write_lock:
             with self._state_lock:
-                if server_id not in self._down:
+                if (server_id not in self._down
+                        or server_id in self._rebuild_threads):
                     return
-                behind = self._applied_lsn.get(server_id, 0) < self._commit_lsn
                 self._down.discard(server_id)
-                if behind:
-                    self._catching_up.add(server_id)
-            if not behind:
+                if (self._ec is None and self._applied_lsn.get(server_id, 0)
+                        >= self._commit_lsn):
+                    return  # missed nothing: straight back into rotation
+                self._catching_up.add(server_id)
+                self._rebuild_errors.pop(server_id, None)
+            _catching_up_gauge().inc()
+            caught_up = self._catch_up_locked(server_id, admit=self._ec is None)
+            if self._ec is None or not caught_up:
                 return
-            gauge = obs.gauge(
-                "zipg_replicas_catching_up",
-                help="recovered replicas still replaying missed writes",
+            thread = threading.Thread(
+                target=self._rebuild_and_admit, args=(server_id,),
+                name=f"zipg-ec-rebuild-{server_id}", daemon=True,
             )
-            gauge.inc()
-            try:
-                self._replay_tail_locked(server_id)
-            except Exception:
-                # Replay failed (server still unreachable / mid-crash):
-                # the server goes back to down rather than serving
-                # reads from a stale replica.
-                obs.counter(
-                    "zipg_replica_catchup_failures_total",
-                    help="recover_server catch-ups that could not replay",
-                ).inc()
-                with self._state_lock:
-                    self._down.add(server_id)
-            finally:
-                with self._state_lock:
-                    self._catching_up.discard(server_id)
-                gauge.inc(-1)
+            with self._state_lock:
+                self._rebuild_threads[server_id] = thread
+        thread.start()
+
+    def _catch_up_locked(self, server_id: int, admit: bool) -> bool:
+        """Replay the held-out server's missed tail (caller holds
+        ``_write_lock``); on success re-admit it if ``admit``, on
+        failure send it back to down.  True if the replay succeeded."""
+        try:
+            self._replay_tail_locked(server_id)
+        except Exception as exc:
+            # Still unreachable / mid-crash: back to down rather than
+            # serving reads from a stale replica.
+            obs.counter(
+                "zipg_replica_catchup_failures_total",
+                help="recover_server catch-ups that could not replay",
+            ).inc()
+            self._end_catch_up(server_id, exc)
+            return False
+        if admit:
+            self._end_catch_up(server_id, None)
+        return True
+
+    def _end_catch_up(self, server_id: int,
+                      error: Optional[BaseException]) -> None:
+        """Release the hold-out: re-admit, or (``error``) mark down
+        and record why (a later ``recover_server`` retries)."""
+        with self._state_lock:
+            self._catching_up.discard(server_id)
+            self._rebuild_threads.pop(server_id, None)
+            if error is not None:
+                self._down.add(server_id)
+                self._rebuild_errors[server_id] = error
+        _catching_up_gauge().inc(-1)
 
     def _replay_tail_locked(self, server_id: int) -> None:
         """Ship every oplog record past the server's applied LSN."""
@@ -316,20 +376,39 @@ class ReplicatedZipGCluster(ZipGCluster):
             self.transport.call(server_id, "apply_write", [lsn, op, list(args)])
             self._applied_lsn[server_id] = lsn
 
+    def _rebuild_and_admit(self, server_id: int) -> None:
+        """Background half of ec recovery: rebuild the server's
+        fragments, then catch up on the writes made meanwhile and
+        re-admit.  A rebuild failure -- including a
+        :class:`~repro.chaos.SimulatedCrash` from the ``ec.rebuild``
+        site -- sends the server back to down."""
+        try:
+            self._rebuild_fragments(server_id)
+        except BaseException as exc:  # SimulatedCrash is a BaseException
+            obs.counter(
+                "zipg_ec_rebuild_failures_total",
+                help="background fragment rebuilds that died mid-flight",
+                labels={"server": str(server_id)},
+            ).inc()
+            self._end_catch_up(server_id, exc)
+            return
+        with self._write_lock:
+            admitted = self._catch_up_locked(server_id, admit=True)
+        if admitted:
+            # Healthy topology again: reconstructed stand-ins are no
+            # longer needed (and would pin memory).
+            with self._ec_lock:
+                self._ec_shards.clear()
+
     # ------------------------------------------------------------------
     # Erasure-coded placement: degraded reads + background rebuild
     # ------------------------------------------------------------------
 
-    def _catchup_gauge(self):
-        return obs.gauge(
-            "zipg_replicas_catching_up",
-            help="recovered replicas still replaying missed writes",
-        )
-
     def _ec_skip_servers(self) -> Tuple[int, ...]:
         """Servers reconstruction must not use as fragment sources."""
         with self._state_lock:
-            return tuple(self._down | self._catching_up)
+            live = self._live_locked(range(self.num_servers))
+        return tuple(s for s in range(self.num_servers) if s not in live)
 
     def _ec_fetch(self, server: int, name: str, index: int) -> bytes:
         """Fetch one fragment over the transport (degraded reads pull
@@ -390,129 +469,6 @@ class ReplicatedZipGCluster(ZipGCluster):
             f"no degraded dispatch for shard op {method!r}"
         )
 
-    def _shard_unit_call(self, shard_id: int, method: str,
-                         wire_args: List) -> object:
-        """Route one shard-unit op with replica failover; under ec
-        placement a shard whose server(s) cannot answer falls back to
-        fragment reconstruction -- a *complete* answer, not a
-        ``ShardError``."""
-        transport = self.transport
-        try:
-            return self.call_on_shard(
-                shard_id,
-                lambda server: transport.call(
-                    server, method, wire_args, unit=shard_id
-                ),
-            )
-        except (ShardUnavailable, ReplicaCallError):
-            if self._ec is None:
-                raise
-            return self._ec_degraded_op(shard_id, method, wire_args)
-
-    def _ec_any_server_call(self, shard_id: int, method: str,
-                            wire_args: List, exclude: Set[int],
-                            unit: Optional[int] = None) -> object:
-        """Store-level fallback: the pointer tables and hot tail are
-        replicated on every server, so a store-routed op a down owner
-        cannot answer is retried on the remaining live servers."""
-        with self._state_lock:
-            out = self._down | self._catching_up
-        candidates = [
-            server for server in range(self.num_servers)
-            if server not in out and server not in exclude
-        ]
-        attempts: List[Tuple[int, BaseException]] = []
-        for server in candidates:
-            try:
-                chaos.kick(chaos.SITE_REPLICA_CALL,
-                           shard=shard_id, server=server)
-                return self.transport.call(server, method, wire_args,
-                                           unit=unit)
-            except Exception as exc:
-                attempts.append((server, exc))
-        raise ReplicaCallError(shard_id, attempts)
-
-    def _ec_recover_server(self, server_id: int) -> None:
-        """ec-placement recovery: synchronous oplog catch-up, then a
-        background fragment rebuild; re-admission happens only when
-        both are done (the server stays in the catching-up hold-out
-        throughout, so reads never route to it early)."""
-        with self._write_lock:
-            with self._state_lock:
-                if server_id not in self._down:
-                    return
-                if server_id in self._rebuild_threads:
-                    return
-                self._down.discard(server_id)
-                self._catching_up.add(server_id)
-                self._rebuild_errors.pop(server_id, None)
-            self._catchup_gauge().inc()
-            try:
-                self._replay_tail_locked(server_id)
-            except Exception:
-                obs.counter(
-                    "zipg_replica_catchup_failures_total",
-                    help="recover_server catch-ups that could not replay",
-                ).inc()
-                with self._state_lock:
-                    self._down.add(server_id)
-                    self._catching_up.discard(server_id)
-                self._catchup_gauge().inc(-1)
-                return
-        thread = threading.Thread(
-            target=self._rebuild_and_admit, args=(server_id,),
-            name=f"zipg-ec-rebuild-{server_id}", daemon=True,
-        )
-        with self._state_lock:
-            self._rebuild_threads[server_id] = thread
-        thread.start()
-
-    def _rebuild_and_admit(self, server_id: int) -> None:
-        """Background half of ec recovery: rebuild the server's
-        fragments, top up its oplog tail, re-admit.  Any failure --
-        including a :class:`~repro.chaos.SimulatedCrash` from the
-        ``ec.rebuild`` site -- sends the server back to down (a later
-        ``recover_server`` retries from scratch)."""
-        try:
-            self._rebuild_fragments(server_id)
-        except BaseException as exc:  # SimulatedCrash is a BaseException
-            with self._state_lock:
-                self._rebuild_errors[server_id] = exc
-            obs.counter(
-                "zipg_ec_rebuild_failures_total",
-                help="background fragment rebuilds that died mid-flight",
-                labels={"server": str(server_id)},
-            ).inc()
-            self._finish_rebuild(server_id, admit=False)
-            return
-        # Writes kept flowing during the rebuild; ship the tail the
-        # server missed while held out before letting reads route to it.
-        with self._write_lock:
-            try:
-                self._replay_tail_locked(server_id)
-            except Exception as exc:
-                with self._state_lock:
-                    self._rebuild_errors[server_id] = exc
-                obs.counter(
-                    "zipg_replica_catchup_failures_total",
-                    help="recover_server catch-ups that could not replay",
-                ).inc()
-                self._finish_rebuild(server_id, admit=False)
-                return
-            self._finish_rebuild(server_id, admit=True)
-        # Healthy topology again: reconstructed stand-ins are no longer
-        # needed (and would pin memory).
-        with self._ec_lock:
-            self._ec_shards.clear()
-
-    def _finish_rebuild(self, server_id: int, admit: bool) -> None:
-        with self._state_lock:
-            self._catching_up.discard(server_id)
-            if not admit:
-                self._down.add(server_id)
-            self._rebuild_threads.pop(server_id, None)
-        self._catchup_gauge().inc(-1)
-
     def _rebuild_fragments(self, server_id: int) -> int:
         """Re-create the server's missing fragments from the survivors,
         throttled to ``rebuild_rate_bytes_s``; returns how many were
@@ -572,7 +528,8 @@ class ReplicatedZipGCluster(ZipGCluster):
         return not thread.is_alive()
 
     def rebuild_error(self, server_id: int) -> Optional[BaseException]:
-        """Why the server's last rebuild failed (None if it did not)."""
+        """Why the server's last catch-up or rebuild failed (None if
+        it did not)."""
         with self._state_lock:
             return self._rebuild_errors.get(server_id)
 
@@ -649,11 +606,7 @@ class ReplicatedZipGCluster(ZipGCluster):
             for _ in range(self.store.freeze_count - freeze_before):
                 records.append(("freeze", []))
             with self._state_lock:
-                targets = [
-                    server for server in range(self.num_servers)
-                    if server not in self._down
-                    and server not in self._catching_up
-                ]
+                targets = self._live_locked(range(self.num_servers))
             dead: Set[int] = set()
             for record_op, record_args in records:
                 self._commit_lsn += 1
@@ -720,45 +673,36 @@ class ReplicatedZipGCluster(ZipGCluster):
     # ------------------------------------------------------------------
 
     def call_on_shard(self, shard_id: int, fn: Callable[[int], object]) -> object:
-        """Run ``fn(server)`` against ``shard_id``, failing over across
-        its live replicas.
+        """Run ``fn(server)`` against ``shard_id``'s live replicas,
+        starting at this read's rotation slot, through
+        :meth:`_failover`."""
+        return self._failover(
+            shard_id, self._route(shard_id, self.replica_servers(shard_id)), fn
+        )
 
-        Replicas are tried once each, starting at this read's rotation
-        slot. A replica whose call raises is skipped in favor of the
-        next one (``zipg_replica_failovers_total``); once every live
-        replica failed, :class:`ReplicaCallError` carries the full
-        ``(server, exception)`` attempt list. No live replica at all is
-        :class:`ShardUnavailable` -- the shard's data is simply gone.
-        """
-        live, turn = self._route(shard_id)
-        if not live:
-            raise ShardUnavailable(f"no live replica for shard {shard_id}")
-        attempts: List[Tuple[int, BaseException]] = []
-        for offset in range(len(live)):
-            server = live[(turn + offset) % len(live)]
-            try:
-                chaos.kick(chaos.SITE_REPLICA_CALL,
-                           shard=shard_id, server=server)
-                return fn(server)
-            except Exception as exc:
-                attempts.append((server, exc))
-                if offset < len(live) - 1:
-                    obs.counter(
-                        "zipg_replica_failovers_total",
-                        help="replica calls retried on the next live replica",
-                    ).inc()
-        raise ReplicaCallError(shard_id, attempts)
+    def _unit_call(self, unit: int, method: str, wire_args: List) -> object:
+        """Route one broadcast unit's op through :meth:`_failover`.
 
-    def _call_on_logstore(self, fn: Callable[[int], object]) -> object:
-        """The LogStore lives unreplicated on one server (§3.5): its
-        server being down makes the call fail outright."""
-        server = self.logstore_server
-        if server in self.down_servers:
-            raise ShardUnavailable(
-                f"logstore server {server} is down (logstore is unreplicated)"
+        The LogStore unit lives unreplicated on ``logstore_server``
+        (§3.5); under ec its hot tail is on every server, so the other
+        live servers follow it.  Under ec a shard unit no server could
+        answer falls back to fragment reconstruction -- a *complete*
+        answer, not a ``ShardError``."""
+        transport = self.transport
+        if unit == LOGSTORE_UNIT:
+            owners, spill = [self.logstore_server], self._ec is not None
+        else:
+            owners, spill = self.replica_servers(unit), False
+        try:
+            return self._failover(
+                unit, self._route(unit, owners, spill),
+                lambda server: transport.call(server, method, wire_args,
+                                              unit=unit),
             )
-        chaos.kick(chaos.SITE_REPLICA_CALL, shard=LOGSTORE_UNIT, server=server)
-        return fn(server)
+        except (ShardUnavailable, ReplicaCallError):
+            if self._ec is None or unit == LOGSTORE_UNIT:
+                raise
+            return self._ec_degraded_op(unit, method, wire_args)
 
     def _broadcast(self, title: str, method: str, wire_args: List,
                    merge: Callable, partial_results: bool, args_key=None):
@@ -774,34 +718,12 @@ class ReplicatedZipGCluster(ZipGCluster):
         through the cluster's :class:`~repro.perf.SingleFlight` -- the
         store epoch in the key keeps a fan-out from being shared across
         a mutation."""
-        units: List = [None] + list(self.store.shards)
-        transport = self.transport
-
-        def run(unit):
-            if unit is None:
-                try:
-                    return self._call_on_logstore(
-                        lambda server: transport.call(
-                            server, method, wire_args, unit=LOGSTORE_UNIT
-                        )
-                    )
-                except Exception:
-                    # Under ec placement the hot tail is replicated to
-                    # every server, so the unreplicated-LogStore rule
-                    # softens: any live server can answer for it.
-                    if self._ec is None:
-                        raise
-                    return self._ec_any_server_call(
-                        LOGSTORE_UNIT, method, wire_args,
-                        exclude={self.logstore_server},
-                        unit=LOGSTORE_UNIT,
-                    )
-            return self._shard_unit_call(unit.shard_id, method, wire_args)
+        units = [LOGSTORE_UNIT] + [shard.shard_id for shard in self.store.shards]
 
         # zipg: span-free  (always runs under the replication.broadcast span)
         def fan_out():
             return self.store.executor.map(
-                run,
+                lambda unit: self._unit_call(unit, method, wire_args),
                 units,
                 retries=self.retries,
                 backoff_s=self.backoff_s,
@@ -824,14 +746,13 @@ class ReplicatedZipGCluster(ZipGCluster):
             if outcome.ok:
                 values.append(outcome.value)
                 continue
-            shard_id = LOGSTORE_UNIT if unit is None else unit.shard_id
             error = outcome.error
             tried = (
                 [server for server, _ in error.attempts]
                 if isinstance(error, ReplicaCallError)
                 else []
             )
-            errors.append(ShardError(shard_id, error, tried))
+            errors.append(ShardError(unit, error, tried))
         if errors:
             obs.counter(
                 "zipg_degraded_queries_total",
@@ -884,25 +805,19 @@ class ReplicatedZipGCluster(ZipGCluster):
 
     @obs.traced("replication.get_node_property", layer="cluster")
     def get_node_property(self, node_id: int, property_ids="*") -> PropertyList:
-        """Node-property read routed through the owning shard's live
-        replicas (failover instead of failing on the first dead one).
+        """Node-property read through :meth:`_failover` over the owning
+        shard's live replicas; a miss raises :class:`NodeNotFound`.
 
         Under ec placement this is a *store-level* op (it walks the
-        replicated pointer tables and hot tail), so a down owner fails
-        over to any other live server rather than reconstructing."""
+        replicated pointer tables and hot tail), so every other live
+        server follows the owner rather than reconstructing."""
         shard_id = self.store.route(node_id)
         wire_args = [node_id, property_ids]
-        try:
-            return self.call_on_shard(
-                shard_id,
-                lambda server: self.transport.call(
-                    server, "get_node_property", wire_args
-                ),
-            )
-        except (ShardUnavailable, ReplicaCallError):
-            if self._ec is None:
-                raise
-            return self._ec_any_server_call(
-                shard_id, "get_node_property", wire_args,
-                exclude=set(self.replica_servers(shard_id)),
-            )
+        transport = self.transport
+        return self._failover(
+            shard_id,
+            self._route(shard_id, self.replica_servers(shard_id),
+                        spill=self._ec is not None),
+            lambda server: transport.call(server, "get_node_property",
+                                          wire_args),
+        )

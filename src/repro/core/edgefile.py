@@ -309,14 +309,11 @@ class EdgeFile:
         self,
         cache: "HotSetCache",
         epoch_of: Optional[Callable[[], int]] = None,
-        coalesce_window_s: float = 0.0,
     ) -> None:
         """Cache parsed edge-record metadata and the Succinct reads."""
         self._cache = cache
         self._cache_epoch_of = epoch_of
-        self._file.attach_cache(
-            cache, epoch_of=epoch_of, coalesce_window_s=coalesce_window_s
-        )
+        self._file.attach_cache(cache, epoch_of=epoch_of)
 
     def detach_cache(self) -> None:
         self._cache = None

@@ -221,7 +221,6 @@ class ZipG:
         # Optional hot-set cache (repro.perf); see enable_cache().
         self._cache: Optional[HotSetCache] = None
         self._cache_tag = 0
-        self._coalesce_window_s = 0.0
         # Erasure-coded fragment stores this process serves, keyed by
         # server id (repro.ec; attached by the cluster layer or the
         # serve-shard CLI).  The ec_fetch_fragment / ec_store_fragment
@@ -325,9 +324,7 @@ class ZipG:
     def cache(self) -> Optional[HotSetCache]:
         return self._cache
 
-    def enable_cache(
-        self, budget_bytes: int, coalesce_window_s: float = 0.0
-    ) -> HotSetCache:
+    def enable_cache(self, budget_bytes: int) -> HotSetCache:
         """Front the hot read paths with a byte-budgeted hot-set cache.
 
         One shared :class:`HotSetCache` covers store-level results
@@ -340,16 +337,12 @@ class ZipG:
         Args:
             budget_bytes: total byte budget (a useful rule of thumb is
                 <= 10% of :meth:`storage_footprint_bytes`).
-            coalesce_window_s: when > 0, concurrent cache-missed
-                extracts inside one shard coalesce into a single
-                batched-NPA kernel call.
         """
         cache = HotSetCache(budget_bytes, name="zipg")
         self._cache = cache
         self._cache_tag = new_cache_tag()
-        self._coalesce_window_s = float(coalesce_window_s)
         for shard in self._shards:
-            shard.attach_cache(cache, coalesce_window_s=coalesce_window_s)
+            shard.attach_cache(cache)
         return cache
 
     def disable_cache(self) -> None:
@@ -748,9 +741,7 @@ class ZipG:
                 encoding=self.encoding,
             )
             if self._cache is not None:
-                new_shard.attach_cache(
-                    self._cache, coalesce_window_s=self._coalesce_window_s
-                )
+                new_shard.attach_cache(self._cache)
             self._shards.append(new_shard)
             for node_id in nodes:
                 self._table(node_id).promote_node_active(node_id, shard_id)
@@ -799,9 +790,7 @@ class ZipG:
                 alpha=self._alpha, encoding=self.encoding,
             )
             if self._cache is not None:
-                merged_shard.attach_cache(
-                    self._cache, coalesce_window_s=self._coalesce_window_s
-                )
+                merged_shard.attach_cache(self._cache)
             new_shards.append(merged_shard)
         reclaimed = len(self._shards) - len(new_shards)
         self._shards = new_shards

@@ -288,22 +288,14 @@ class CompressedShard:
     def _epoch_value(self) -> int:
         return self.epoch.value
 
-    def attach_cache(
-        self, cache: "HotSetCache", coalesce_window_s: float = 0.0
-    ) -> None:
+    def attach_cache(self, cache: "HotSetCache") -> None:
         """Front this shard's compressed files with ``cache``.
 
         Cache keys embed :attr:`epoch`, so deletions on this shard
         invalidate every cached read in O(1).
         """
-        self.node_file.attach_cache(
-            cache, epoch_of=self._epoch_value,
-            coalesce_window_s=coalesce_window_s,
-        )
-        self.edge_file.attach_cache(
-            cache, epoch_of=self._epoch_value,
-            coalesce_window_s=coalesce_window_s,
-        )
+        self.node_file.attach_cache(cache, epoch_of=self._epoch_value)
+        self.edge_file.attach_cache(cache, epoch_of=self._epoch_value)
 
     def detach_cache(self) -> None:
         self.node_file.detach_cache()

@@ -20,8 +20,7 @@ runs to completion in the task that called :meth:`GatewayService.handle`:
    tenant's backlog cannot starve another's single request;
 4. **batch** -- identical in-flight reads coalesce: one flight issues
    the backend call, riders await its result (the async face of
-   :class:`~repro.perf.coalesce.SingleFlight` and the store's
-   :class:`~repro.perf.coalesce.BatchCoalescer`);
+   :class:`~repro.perf.coalesce.SingleFlight`);
 5. **dispatch** -- chaos site ``gateway.dispatch``, then the backend
    seam.  Reads flagged for degradation go out with
    ``partial_results=True`` instead of failing -- a shed that returns

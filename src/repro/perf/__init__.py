@@ -18,10 +18,8 @@ those hot reads cheap without touching the memory-efficiency story:
   simply becomes unreachable garbage the LRU evicts) -- never a key
   scan.
 * :mod:`~repro.perf.coalesce` -- single-flight request sharing
-  (:class:`~repro.perf.coalesce.SingleFlight`) and short-window batch
-  coalescing (:class:`~repro.perf.coalesce.BatchCoalescer`) so
-  concurrent identical queries execute once and concurrent extracts
-  collapse into one batched-NPA kernel call.
+  (:class:`~repro.perf.coalesce.SingleFlight`) so concurrent identical
+  queries execute once.
 
 See ``docs/CACHING.md`` for the budget model and wiring.
 """
@@ -35,11 +33,10 @@ from repro.perf.cache import (
     estimate_size,
     new_cache_tag,
 )
-from repro.perf.coalesce import BatchCoalescer, SingleFlight
+from repro.perf.coalesce import SingleFlight
 from repro.perf.epoch import Epoch
 
 __all__ = [
-    "BatchCoalescer",
     "CacheBudget",
     "ENTRY_OVERHEAD_BYTES",
     "Epoch",

@@ -1,29 +1,20 @@
-"""Request coalescing: single-flight sharing and windowed batching.
+"""Request coalescing: single-flight sharing.
 
-Two primitives, both aimed at the same waste -- concurrent callers
-doing identical or adjacent work on the compressed structures:
+:class:`SingleFlight` -- callers presenting the same key while a
+matching call is in flight wait for that call's outcome instead of
+re-executing it (the classic ``singleflight`` shape from serving
+stacks). The leader's exception propagates to every waiter;
+:class:`BaseException` (e.g. a simulated crash) included, so fault
+injection semantics survive coalescing.
 
-* :class:`SingleFlight` -- callers presenting the same key while a
-  matching call is in flight wait for that call's outcome instead of
-  re-executing it (the classic ``singleflight`` shape from serving
-  stacks). The leader's exception propagates to every waiter;
-  :class:`BaseException` (e.g. a simulated crash) included, so fault
-  injection semantics survive coalescing.
-* :class:`BatchCoalescer` -- requests arriving within a short window
-  are collected and handed to one batch function (e.g. one
-  ``extract_batch`` lockstep-NPA kernel call) whose results are routed
-  back to the individual submitters. A zero window degrades to
-  batch-of-one, so serial workloads pay nothing but one indirection.
-
-Neither primitive holds its lock while user code runs: the leader
-executes outside the lock and publishes through an :class:`Event`.
+The lock is never held while user code runs: the leader executes
+outside the lock and publishes through an :class:`Event`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, Optional
 
 
 class _Flight:
@@ -97,101 +88,3 @@ class SingleFlight:
             flight.event.set()
         return value
 
-
-class _Batch:
-    """One open batch: the leader closes it and runs the batch call."""
-
-    __slots__ = ("requests", "event", "results", "error", "closed")
-
-    def __init__(self) -> None:
-        self.requests: List[object] = []
-        self.event = threading.Event()
-        self.results: Optional[Sequence[object]] = None
-        self.error: Optional[BaseException] = None
-        self.closed = False
-
-
-class BatchCoalescer:
-    """Collapse requests arriving within ``window_s`` into one batch call.
-
-    The first submitter of a batch becomes its *leader*: it waits out
-    the window (``window_s == 0`` means no wait at all), closes the
-    batch, and invokes ``batch_fn(requests)`` -- which must return one
-    result per request, in order. Followers block until the leader
-    publishes, then pick their own slot. A failed batch call raises the
-    same exception in every participant.
-
-    Args:
-        batch_fn: the batched kernel call, ``requests -> results``.
-        window_s: how long the leader lingers for companions. Keep this
-            well under a query's latency target; 0 disables lingering.
-        max_batch: requests per batch before a new one is opened.
-    """
-
-    def __init__(
-        self,
-        batch_fn: Callable[[List[object]], Sequence[object]],
-        window_s: float = 0.0,
-        max_batch: int = 256,
-    ) -> None:
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.batch_fn = batch_fn
-        self.window_s = float(window_s)
-        self.max_batch = int(max_batch)
-        self._lock = threading.Lock()
-        self._open: Optional[_Batch] = None
-        self._batches = 0
-        self._coalesced = 0
-
-    @property
-    def batches(self) -> int:
-        """Batch calls actually issued."""
-        return self._batches
-
-    @property
-    def coalesced(self) -> int:
-        """Requests that rode along in someone else's batch."""
-        return self._coalesced
-
-    def submit(self, request: object) -> object:
-        """Submit one request; returns its result from the batch call."""
-        with self._lock:
-            batch = self._open
-            if (
-                batch is None
-                or batch.closed
-                or len(batch.requests) >= self.max_batch
-            ):
-                batch = _Batch()
-                self._open = batch
-                leader = True
-            else:
-                leader = False
-            slot = len(batch.requests)
-            batch.requests.append(request)
-        if not leader:
-            batch.event.wait()
-            if batch.error is not None:
-                raise batch.error
-            assert batch.results is not None
-            return batch.results[slot]
-        if self.window_s > 0:
-            time.sleep(self.window_s)
-        with self._lock:
-            batch.closed = True
-            if self._open is batch:
-                self._open = None
-            requests = list(batch.requests)
-            self._batches += 1
-            self._coalesced += len(requests) - 1
-        try:
-            batch.results = self.batch_fn(requests)
-        except BaseException as exc:
-            batch.error = exc
-            batch.event.set()
-            raise
-        batch.event.set()
-        return batch.results[slot]

@@ -90,14 +90,8 @@ class OffsetArrayFile:
         self,
         cache: "HotSetCache",
         epoch_of: Optional[Callable[[], int]] = None,
-        coalesce_window_s: float = 0.0,
     ) -> None:
-        """Front ``extract``/``search`` with a :class:`HotSetCache`.
-
-        ``coalesce_window_s`` is accepted for interface parity and
-        ignored: direct decodes have no lockstep kernel to coalesce
-        into.
-        """
+        """Front ``extract``/``search`` with a :class:`HotSetCache`."""
         self._cache = cache
         self._cache_epoch_of = epoch_of
 

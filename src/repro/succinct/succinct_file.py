@@ -89,7 +89,6 @@ class SuccinctFile:
 
         self._cache = None
         self._cache_epoch_of: Optional[Callable[[], int]] = None
-        self._coalescer = None
         self._cache_tag = new_cache_tag()
 
     # ------------------------------------------------------------------
@@ -100,7 +99,6 @@ class SuccinctFile:
         self,
         cache: "HotSetCache",
         epoch_of: Optional[Callable[[], int]] = None,
-        coalesce_window_s: float = 0.0,
     ) -> None:
         """Front ``extract``/``search`` with a :class:`HotSetCache`.
 
@@ -110,25 +108,13 @@ class SuccinctFile:
                 epoch; embedded in every key so mutations invalidate in
                 O(1). ``None`` pins the epoch to 0 (this file's own
                 structures are immutable).
-            coalesce_window_s: when > 0, concurrent cache-missed
-                extracts are coalesced into one lockstep
-                ``extract_batch`` kernel call.
         """
-        from repro.perf.coalesce import BatchCoalescer
-
         self._cache = cache
         self._cache_epoch_of = epoch_of
-        if coalesce_window_s > 0:
-            self._coalescer = BatchCoalescer(
-                self._extract_batch_kernel, window_s=coalesce_window_s
-            )
-        else:
-            self._coalescer = None
 
     def detach_cache(self) -> None:
         self._cache = None
         self._cache_epoch_of = None
-        self._coalescer = None
 
     def _cache_epoch(self) -> int:
         return self._cache_epoch_of() if self._cache_epoch_of is not None else 0
@@ -252,8 +238,6 @@ class SuccinctFile:
             return b""
         if length <= _SCALAR_EXTRACT_CUTOFF:
             return self._extract_scalar_body(offset, length)
-        if self._coalescer is not None:
-            return self._coalescer.submit((offset, length))
         return self._extract_batched_body(offset, length)
 
     def extract_scalar(self, offset: int, length: int) -> bytes:

@@ -1,7 +1,6 @@
-"""Single-flight and batch coalescing (repro.perf.coalesce), the
-cluster's shared broadcast fan-outs, and the cluster
-retry/backoff/deadline knobs flowing through the coalesced broadcast
-path."""
+"""Single-flight coalescing (repro.perf.coalesce), the cluster's
+shared broadcast fan-outs, and the cluster retry/backoff/deadline
+knobs flowing through the coalesced broadcast path."""
 
 import threading
 import time
@@ -14,7 +13,7 @@ from repro.cluster.replication import ReplicatedZipGCluster
 from repro.core import GraphData, ZipG
 from repro.core.errors import DeadlineExceeded
 from repro.obs.metrics import Counter
-from repro.perf import BatchCoalescer, SingleFlight
+from repro.perf import SingleFlight
 
 
 @pytest.fixture(autouse=True)
@@ -131,65 +130,6 @@ class TestSingleFlight:
         leader.join(5)
         follower.join(5)
         assert len(shared_calls) == 1
-
-
-# ----------------------------------------------------------------------
-# BatchCoalescer
-# ----------------------------------------------------------------------
-
-
-class TestBatchCoalescer:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchCoalescer(lambda reqs: reqs, window_s=-0.1)
-        with pytest.raises(ValueError):
-            BatchCoalescer(lambda reqs: reqs, max_batch=0)
-
-    def test_single_submit_routes_through_batch_fn(self):
-        batches = []
-
-        def batch_fn(requests):
-            batches.append(list(requests))
-            return [r * 2 for r in requests]
-
-        coalescer = BatchCoalescer(batch_fn, window_s=0.0)
-        assert coalescer.submit(21) == 42
-        assert batches == [[21]]
-
-    def test_concurrent_submits_coalesce_into_one_batch(self):
-        batches = []
-
-        def batch_fn(requests):
-            batches.append(list(requests))
-            return [r * 2 for r in requests]
-
-        coalescer = BatchCoalescer(batch_fn, window_s=0.25)
-        results = {}
-
-        def submit(value):
-            results[value] = coalescer.submit(value)
-
-        leader = threading.Thread(target=submit, args=(1,))
-        leader.start()
-        _await(lambda: coalescer._open is not None)  # window open
-        followers = [threading.Thread(target=submit, args=(v,))
-                     for v in (2, 3)]
-        for thread in followers:
-            thread.start()
-        _await(lambda: coalescer._coalesced == 2)
-        leader.join(5)
-        for thread in followers:
-            thread.join(5)
-        assert len(batches) == 1 and sorted(batches[0]) == [1, 2, 3]
-        assert results == {1: 2, 2: 4, 3: 6}  # per-slot routing
-
-    def test_batch_error_propagates_to_every_submitter(self):
-        def batch_fn(requests):
-            raise FaultInjected("kernel failed")
-
-        coalescer = BatchCoalescer(batch_fn, window_s=0.0)
-        with pytest.raises(FaultInjected):
-            coalescer.submit(1)
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,19 @@ over real loopback RPC (fragments ride the wire as tagged base64).
 
 import pytest
 
-from conftest import chaos_seeds, socket_transport_enabled
+from conftest import (
+    TransportHook,
+    chaos_seeds,
+    contract_probe,
+    contract_rows,
+    outcome_under,
+    socket_transport_enabled,
+)
 from repro import chaos, obs
 from repro.chaos import ChaosInjector, FaultRule, SimulatedCrash
 from repro.cluster import PartialResult, ReplicatedZipGCluster
-from repro.core import GraphData, ZipG
+from repro.cluster.replication import LOGSTORE_UNIT
+from repro.core import GraphData, NodeNotFound, ZipG
 from repro.core.persistence import save_store
 from repro.ec import ErasureCodedSnapshots
 
@@ -161,6 +169,62 @@ class TestDegradedReads:
                                            partial_results=True)
         assert isinstance(partial, PartialResult)
         assert partial.errors  # injected decode failure, typed not raised
+
+
+class TestFailoverContract:
+    @pytest.mark.parametrize("unit,condition,seed,expected",
+                             contract_rows({}))
+    def test_one_affected_server(self, tmp_path, unit, condition, seed,
+                                 expected):
+        """Under ec every unit stays complete with one server out:
+        shard units reconstruct, the LogStore unit and the
+        node-property read move on to another live server."""
+        cluster, store, _ = build_ec_cluster(tmp_path)
+        cluster.append_node(99, {"name": "late", "kind": "x"})
+        server, probe, answer = contract_probe(cluster, store, unit)
+        outcome = outcome_under(cluster, condition, server, probe, seed,
+                                catch_up_call="ec_has_fragment")
+        assert expected is None
+        assert outcome == answer
+
+    def test_miss_is_node_not_found_after_one_rpc(self, tmp_path):
+        cluster, _, _ = build_ec_cluster(tmp_path)
+        hook = TransportHook(cluster)
+        with pytest.raises(NodeNotFound):
+            cluster.get_node_property(999, "name")
+        assert [method for _s, method, _u, _c in hook.calls] == \
+            ["get_node_property"]
+
+    def test_logstore_unit_never_reads_a_rebuilding_server(self, tmp_path):
+        """While the LogStore's server is held out for a throttled
+        rebuild, the LogStore unit is answered by another live server,
+        never by the one still catching up."""
+        cluster, store, snaps = build_ec_cluster(
+            tmp_path, rebuild_rate_bytes_s=512 * 1024.0
+        )
+        server = cluster.logstore_server
+        cluster.fail_server(server)
+        snaps.store_for(server).wipe()
+        cluster.append_node(99, {"name": "late", "kind": "x"})
+        expected = store.get_node_ids({"kind": "x"})
+        during = []
+
+        def query_mid_rebuild(target, method):
+            if (target == server and method == "ec_store_fragment"
+                    and not during):
+                during.append(cluster.get_node_ids({"kind": "x"}))
+
+        hook = TransportHook(cluster, on_call=query_mid_rebuild)
+        cluster.recover_server(server)
+        assert cluster.wait_for_rebuild(server, timeout_s=60)
+        assert cluster.rebuild_error(server) is None
+        assert during == [expected]
+        logstore_calls = [(target, catching_up)
+                          for target, _method, unit, catching_up in hook.calls
+                          if unit == LOGSTORE_UNIT]
+        assert any(server in catching_up for _t, catching_up in logstore_calls)
+        assert all(target not in catching_up
+                   for target, catching_up in logstore_calls)
 
 
 class TestEpochFreshness:

@@ -10,9 +10,12 @@ a replica whose replay fails goes back to down.
 
 import pytest
 
-from repro import obs
-from repro.cluster import ReplicatedZipGCluster
-from repro.core import GraphData, ZipG
+from conftest import TransportHook, chaos_seeds
+from repro import chaos, obs
+from repro.chaos import ChaosInjector, FaultRule
+from repro.cluster import ReplicatedZipGCluster, ShardUnavailable
+from repro.cluster.replication import LOGSTORE_UNIT
+from repro.core import GraphData, ReplicaCallError, ZipG
 from repro.core.errors import TransportError
 from repro.server.loopback import LoopbackCluster
 from repro.server.transport import InProcessTransport
@@ -170,6 +173,73 @@ class TestCatchUp:
         cluster.recover_server(2)
         assert cluster.down_servers == set()
         assert cluster.applied_lsn(2) == cluster.commit_lsn
+
+
+class TestLogStoreDuringCatchUp:
+    def test_logstore_unit_never_reads_a_catching_up_server(self):
+        """The unreplicated LogStore unit must not be read from its
+        server while that server replays its missed tail: the unit is
+        ShardUnavailable for the duration, never a stale answer."""
+        cluster, store = build_cluster()
+        server = cluster.logstore_server
+        cluster.fail_server(server)
+        cluster.append_node(100, {"name": "late", "kind": "x"})
+        during = []
+
+        def broadcast_mid_replay(target, method):
+            if target == server and method == "apply_write" and not during:
+                during.append(cluster.get_node_ids({"kind": "x"},
+                                                   partial_results=True))
+
+        hook = TransportHook(cluster, on_call=broadcast_mid_replay)
+        cluster.recover_server(server)
+        assert len(during) == 1
+        logstore_calls = [(target, catching_up)
+                          for target, _method, unit, catching_up in hook.calls
+                          if unit == LOGSTORE_UNIT]
+        assert all(target not in catching_up
+                   for target, catching_up in logstore_calls)
+        errors = {e.shard_id: e.error for e in during[0].errors}
+        assert list(errors) == [LOGSTORE_UNIT]
+        assert isinstance(errors[LOGSTORE_UNIT], ShardUnavailable)
+        # Caught up and re-admitted: the unit answers again.
+        assert cluster.catching_up_servers == set()
+        assert 100 in cluster.get_node_ids({"kind": "x"})
+
+    @pytest.mark.parametrize("seed", chaos_seeds())
+    def test_reads_mid_replay_under_replica_faults(self, seed):
+        """Seeded replica-call faults while a server replays: every
+        read mid-replay is the right answer or a typed error, and none
+        is routed to the catching-up server."""
+        cluster, store = build_cluster()
+        cluster.fail_server(1)
+        cluster.append_node(100, {"name": "late", "kind": "x"})
+        expected = {node: store.get_node_property(node, "name")
+                    for node in (*range(12), 100)}
+        answers = {}
+
+        def reads_mid_replay(target, method):
+            if target == 1 and method == "apply_write" and not answers:
+                for node in expected:
+                    try:
+                        answers[node] = cluster.get_node_property(node, "name")
+                    except ReplicaCallError as exc:
+                        answers[node] = exc
+
+        hook = TransportHook(cluster, on_call=reads_mid_replay)
+        injector = ChaosInjector(seed=seed, rules=[
+            FaultRule(site=chaos.SITE_REPLICA_CALL, probability=0.3),
+        ])
+        with chaos.injected(injector):
+            cluster.recover_server(1)
+        assert answers.keys() == expected.keys()
+        for node, answer in answers.items():
+            assert answer == expected[node] or isinstance(answer,
+                                                          ReplicaCallError)
+        assert all(target not in catching_up
+                   for target, method, _unit, catching_up in hook.calls
+                   if method == "get_node_property")
+        assert cluster.applied_lsn(1) == cluster.commit_lsn
 
 
 class TestCatchUpOverRpc:

@@ -11,12 +11,18 @@ import threading
 
 import pytest
 
-from conftest import socket_transport_enabled
+from conftest import (
+    TransportHook,
+    contract_probe,
+    contract_rows,
+    outcome_under,
+    socket_transport_enabled,
+)
 from repro import chaos, obs
 from repro.chaos import ChaosInjector, FaultRule
 from repro.cluster import PartialResult, ReplicatedZipGCluster, ShardUnavailable
 from repro.cluster.replication import LOGSTORE_UNIT
-from repro.core import GraphData, ReplicaCallError, ZipG
+from repro.core import GraphData, NodeNotFound, ReplicaCallError, ZipG
 
 #: Loopback harnesses opened by build_cluster under ZIPG_TRANSPORT=
 #: socket; torn down after each test.
@@ -111,6 +117,43 @@ class TestFailover:
         ])
         with chaos.injected(injector):
             assert cluster.get_node_property(3, "name") == {"name": "n3"}
+
+
+class TestFailoverContract:
+    @pytest.mark.parametrize("unit,condition,seed,expected", contract_rows({
+        ("logstore", "down"): ShardUnavailable,
+        ("logstore", "raises"): ReplicaCallError,
+        ("logstore", "catching_up"): ShardUnavailable,
+    }))
+    def test_one_affected_server(self, unit, condition, seed, expected):
+        """Replicated shards and the node-property read fail over to
+        the next live replica; the unreplicated LogStore unit surfaces
+        the exact typed error instead."""
+        cluster, store = build_cluster()
+        cluster.append_node(99, {"name": "late", "kind": "x"})
+        server, probe, answer = contract_probe(cluster, store, unit)
+        outcome = outcome_under(cluster, condition, server, probe, seed,
+                                catch_up_call="apply_write")
+        if expected is None:
+            assert outcome == answer
+        else:
+            assert type(outcome) is expected
+
+    def test_miss_is_node_not_found_after_one_rpc(self):
+        """A miss is an answer: the first caught-up replica's
+        NodeNotFound reaches the caller as is, like the embedded
+        store's, without trying the other replica."""
+        cluster, store = build_cluster()
+        with pytest.raises(NodeNotFound):
+            store.get_node_property(999, "name")
+        hook = TransportHook(cluster)
+        failovers = obs.counter("zipg_replica_failovers_total")
+        before = failovers.value
+        with pytest.raises(NodeNotFound):
+            cluster.get_node_property(999, "name")
+        assert [method for _s, method, _u, _c in hook.calls] == \
+            ["get_node_property"]
+        assert failovers.value == before
 
 
 class TestPartialResults:
