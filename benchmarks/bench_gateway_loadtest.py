@@ -1,13 +1,16 @@
 """Open-loop gateway load test: latency vs offered load, shed behavior.
 
-Drives the TAO mix (Table 2 percentages) through the async gateway at
+Drives the TAO mix (Table 2 percentages) through the gateway service at
 three offered loads anchored to a measured closed-loop capacity
 estimate -- below saturation (0.5x), at saturation (1.0x), and past it
-(2.0x) -- plus a no-gateway control straight at the submission seam.
-The artifact (``BENCH_gateway_loadtest.json``) carries the full
+(2.0x) -- plus a no-gateway control straight at the backend, run
+interleaved with a gateway twin in one open loop so a stall of the
+machine lands on both.  The backend is a ``ZipGClient`` of an
+in-process master, as behind ``repro serve-gateway``.  The artifact
+(``BENCH_gateway_loadtest.json``) carries the full
 latency-vs-offered-load curve; the gates pin ratios only:
 
-* the gateway's p99 overhead below saturation (vs the direct path);
+* the gateway's p99 overhead below saturation (twin vs direct path);
 * the served fraction below saturation (admission must be invisible
   when there is capacity);
 * the handled fraction above saturation (every request ends
@@ -22,11 +25,11 @@ from conftest import record_bench
 
 from repro.bench.loadtest import (
     admission_config_for,
-    build_backend,
     build_load_graph,
     direct_point,
     gateway_closed_loop_capacity,
     gateway_point,
+    served_backend,
     tao_calls,
 )
 from repro.bench.reporting import format_table
@@ -36,8 +39,8 @@ WARMUP_OPS = 200
 POINT_OPS = 800
 #: Offered loads as fractions of the gateway's measured closed-loop
 #: capacity.  Anchoring to the *gateway's* saturation point (not the
-#: bare submission seam's, which is higher) is what makes "below
-#: saturation" honest.  The overload point sits at 2x because the
+#: bare backend's, which is higher) is what makes "below saturation"
+#: honest.  The overload point sits at 2x because the
 #: closed-loop estimate is itself noisy (it self-throttles, so it
 #: *under*-states true capacity): at 1.5x a fast run can absorb most
 #: of the nominal excess, while 2x sheds decisively on every machine.
@@ -51,28 +54,25 @@ def test_gateway_open_loop_curve(benchmark):
     # sites and pull this whole driver into the threaded region.
     def measure():
         graph = build_load_graph()
-        backend = build_backend(graph)
-        try:
+        with served_backend(graph) as backend:
             capacity = gateway_closed_loop_capacity(
                 backend, tao_calls(graph, CAPACITY_OPS, seed=3)
             )
             calls = tao_calls(graph, POINT_OPS, seed=7)
             config = admission_config_for(capacity)
-            # Warm both paths (event-loop spin-up, first-touch costs)
+            # Warm both paths (pooled connections, first-touch costs)
             # before anything is measured.
-            gateway_point(backend, calls[:WARMUP_OPS],
-                          capacity * BELOW, config)
-            direct_point(backend, calls[:WARMUP_OPS], capacity * BELOW)
+            direct_point(backend, calls[:WARMUP_OPS], capacity * BELOW,
+                         config)
             curve = [
                 gateway_point(backend, calls, capacity * fraction, config)
                 for fraction in LOAD_FRACTIONS
             ]
-            direct = direct_point(backend, calls, capacity * BELOW)
-        finally:
-            backend.close_submitter()
-        return capacity, curve, direct
+            direct, twin = direct_point(backend, calls, capacity * BELOW,
+                                        config)
+        return capacity, curve, direct, twin
 
-    capacity, curve, direct = benchmark.pedantic(
+    capacity, curve, direct, twin = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
     below_point, at_point, above_point = curve
@@ -81,9 +81,11 @@ def test_gateway_open_loop_curve(benchmark):
         f"Gateway open-loop TAO curve (capacity ~{capacity:.0f} rps)",
         ["offered", "rps", "p50 ms", "p99 ms", "served", "shed"],
         [
-            (f"direct {BELOW:.1f}x", f"{direct.offered_load:.0f}",
-             f"{direct.p50_ms:.2f}", f"{direct.p99_ms:.2f}",
-             f"{direct.completed}/{direct.offered}", "-"),
+            (f"{name} {BELOW:.1f}x", f"{point.offered_load:.0f}",
+             f"{point.p50_ms:.2f}", f"{point.p99_ms:.2f}",
+             f"{point.completed}/{point.offered}",
+             f"{point.shed_fraction:.2f}")
+            for name, point in (("direct", direct), ("twin", twin))
         ] + [
             (f"gateway {fraction:.1f}x", f"{point.offered_load:.0f}",
              f"{point.p50_ms:.2f}", f"{point.p99_ms:.2f}",
@@ -93,7 +95,7 @@ def test_gateway_open_loop_curve(benchmark):
         ],
     ))
 
-    p99_overhead = (below_point.p99_ms / direct.p99_ms
+    p99_overhead = (twin.p99_ms / direct.p99_ms
                     if direct.p99_ms > 0 else 1.0)
 
     record_bench(
@@ -101,6 +103,7 @@ def test_gateway_open_loop_curve(benchmark):
         result={
             "capacity_rps": capacity,
             "direct": direct.to_payload(),
+            "twin": twin.to_payload(),
             "curve": [point.to_payload() for point in curve],
         },
         gate={
@@ -120,12 +123,12 @@ def test_gateway_open_loop_curve(benchmark):
     for point in curve:
         assert point.errors == 0, point.to_payload()
         assert point.handled_fraction == 1.0, point.to_payload()
-    assert direct.errors == 0
+    assert direct.errors == 0 and twin.errors == 0
     # Below saturation the gateway is effectively transparent: nothing
     # shed, and p99 within small-integer multiples of the direct path
-    # (the CI gate pins the measured ratio; this bound only catches a
-    # pathological pileup).
+    # (this bound only catches a pathological pileup).
     assert below_point.shed == 0, below_point.to_payload()
+    assert twin.shed == 0, twin.to_payload()
     assert p99_overhead < 6.0, p99_overhead
     # Past saturation the excess is shed with the typed error.
     assert above_point.shed_fraction > 0.05, above_point.to_payload()

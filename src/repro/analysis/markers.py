@@ -43,11 +43,6 @@ MODULE_DIRECTIVES = frozenset(
         # This module IS the typed-exception codec: EXC001 reads the
         # registered exception names from it.
         "exception-registry",
-        # Code in this module runs on the gateway's asyncio event loop:
-        # GATE001 rejects anything that would block it (bare
-        # time.sleep, sync socket I/O, lock acquire()) or hand a
-        # request to a thread (pool submit, wrap_future).
-        "gateway-path",
     }
 )
 #: Directives that attach to the enclosing/following function.
@@ -61,9 +56,6 @@ FUNCTION_DIRECTIVES = frozenset(
         # Entry point of the RPC dispatch surface: EXC001 roots its
         # raisable-exception walk at functions marked this way.
         "rpc-entry",
-        # This function hands its blocking work to an executor/thread
-        # (run_in_executor, a submission pool): GATE001 skips it.
-        "executor-offload",
     }
 )
 

@@ -7,7 +7,6 @@ import repro.analysis.rules.chaos_cov  # noqa: F401
 import repro.analysis.rules.copies  # noqa: F401
 import repro.analysis.rules.deadlock  # noqa: F401
 import repro.analysis.rules.excflow  # noqa: F401
-import repro.analysis.rules.gateway  # noqa: F401
 import repro.analysis.rules.locks  # noqa: F401
 import repro.analysis.rules.race  # noqa: F401
 import repro.analysis.rules.layout  # noqa: F401

@@ -5,12 +5,9 @@ graph.  The threaded region of the program is everything reachable
 from a *threaded entry point*:
 
 * ``threading.Thread(target=...)`` targets (the RpcServerBase accept
-  and per-connection threads, which run each request to completion)
+  and per-connection threads, which run each request to completion --
+  for every role, the gateway's admission and slot state included)
   and ``.submit(...)`` arguments;
-* methods named by a string literal through the awaitable backend
-  seam -- ``backend.call_async("edge_count", ...)`` /
-  ``cluster.submit("edge_count", ...)`` run that method on the
-  cluster's submission pool;
 * loader callables passed to a cache's ``get_or_load``.
 
 Starting from those entries with an empty lockset, the analysis
@@ -54,11 +51,6 @@ from repro.analysis.rules.locks import (
     discover_lock_owners,
 )
 
-#: ``<receiver>.<name>(fn, ...)`` shapes whose first argument (a
-#: callable, or for the backend seam a method name) runs on another
-#: thread.
-_FANOUT_METHODS = frozenset({"submit", "call_async"})
-
 
 def _callable_records(
     graph: CallGraph, record: FunctionRecord, expr: ast.expr
@@ -79,9 +71,6 @@ def _callable_records(
         return list(graph.by_name.get(expr.attr, []))
     if isinstance(expr, ast.Name):
         return list(graph.by_name.get(expr.id, []))
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        # The backend seam dispatches by method name.
-        return list(graph.by_name.get(expr.value, []))
     return []
 
 
@@ -117,7 +106,7 @@ def _thread_entries(
                 continue
             if not isinstance(func, ast.Attribute):
                 continue
-            if func.attr in _FANOUT_METHODS and node.args:
+            if func.attr == "submit" and node.args:
                 add(
                     _callable_records(graph, record, node.args[0]),
                     f"{func.attr}() fan-out in {record.qualname}",

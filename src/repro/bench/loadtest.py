@@ -10,16 +10,18 @@ measured latency instead of silently stretching the run.
 
 The flow CI runs (``benchmarks/bench_gateway_loadtest.py``):
 
-1. :func:`closed_loop_capacity` estimates the backend's saturation
-   throughput through the same awaitable submission seam the gateway
-   uses -- no gateway in the path;
-2. :func:`latency_curve` replays the TAO mix open-loop through a
-   :class:`~repro.gateway.service.GatewayService` at offered loads
-   placed relative to that estimate (below, near, above saturation),
-   yielding one :class:`LoadPoint` per offered load;
+1. :func:`gateway_closed_loop_capacity` estimates the saturation
+   throughput of a :class:`~repro.gateway.service.GatewayService` in
+   front of the backend, admission effectively off;
+2. :func:`gateway_point` replays the TAO mix open-loop through a
+   fresh service at offered loads placed relative to that estimate
+   (below, near, above saturation), one :class:`LoadPoint` each;
 3. :func:`direct_point` runs the same open-loop mix straight at the
-   submission seam, so the gateway's latency overhead below
-   saturation is a measured ratio, not a guess.
+   backend, so the gateway's latency overhead below saturation is a
+   measured ratio, not a guess.
+
+Both drivers are plain threads calling the synchronous service or
+backend, exactly as a served gateway's connection threads do.
 
 Every request must end *structurally*: a result, a
 :class:`~repro.cluster.PartialResult` (degraded read), or a typed
@@ -29,22 +31,31 @@ Every request must end *structurally*: a result, a
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
+import queue
+import threading
 import time
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster import PartialResult, ReplicatedZipGCluster
 from repro.core import GraphData, ZipG
 from repro.core.errors import RetryAfter
 from repro.gateway import GatewayConfig, GatewayService
+from repro.server import MasterServer, ZipGClient
 from repro.workloads import TAOWorkload
 
 #: (method, args, kwargs) -- one store call, transport-agnostic.
 Call = Tuple[str, list, dict]
 
-#: An async request sink: drives one Call to a structured outcome.
-Handler = Callable[[str, list, dict], Awaitable[object]]
+#: A request sink: drives one Call to a structured outcome.
+Handler = Callable[[str, list, dict], object]
+
+#: Driver threads of the open loop: enough that every request the
+#: gateway can hold (dispatch slots + a full tenant queue, at the
+#: default config) is in it, so the gateway -- not the driver -- is
+#: where arrivals queue.
+OPEN_LOOP_THREADS = 96
 
 
 def build_load_graph(num_nodes: int = 96) -> GraphData:
@@ -61,15 +72,25 @@ def build_load_graph(num_nodes: int = 96) -> GraphData:
     return graph
 
 
-def build_backend(graph: Optional[GraphData] = None, num_shards: int = 2,
-                  alpha: int = 8, num_servers: int = 2
-                  ) -> ReplicatedZipGCluster:
-    """The cluster a load run drives (exposes the submission seam)."""
+@contextlib.contextmanager
+def served_backend(graph: Optional[GraphData] = None, num_shards: int = 2,
+                   alpha: int = 8, num_servers: int = 2
+                   ) -> Iterator[ZipGClient]:
+    """The backend a load run drives: a :class:`ZipGClient` of an
+    in-process master over the load graph's cluster -- what a deployed
+    gateway (``repro serve-gateway``) calls.  A call blocks on its
+    socket and releases the interpreter lock while the master works,
+    so overload queues at the gateway's admission, where the load test
+    looks; a CPU-bound in-process cluster would queue it at the
+    interpreter lock instead, invisible to admission."""
     graph = graph if graph is not None else build_load_graph()
     store = ZipG.compress(graph, num_shards=num_shards, alpha=alpha,
                           logstore_threshold_bytes=1 << 20)
-    return ReplicatedZipGCluster(store, num_servers=num_servers,
-                                 replication_factor=1)
+    cluster = ReplicatedZipGCluster(store, num_servers=num_servers,
+                                    replication_factor=1)
+    with MasterServer(cluster) as master, \
+            ZipGClient(*master.address) as client:
+        yield client
 
 
 class _CallRecorder:
@@ -100,28 +121,6 @@ def tao_calls(graph: GraphData, count: int, seed: int = 0) -> List[Call]:
 # ----------------------------------------------------------------------
 
 
-def closed_loop_capacity(backend: object, calls: Sequence[Call],
-                         concurrency: int = 8) -> float:
-    """Achieved throughput (requests/s) with ``concurrency`` logical
-    workers driving the submission seam back-to-back.
-
-    Closed-loop by construction -- a new request is only issued when a
-    slot's previous one finished -- so the result approximates the
-    backend's saturation throughput and anchors the open-loop offered
-    loads."""
-    start = time.perf_counter()
-    completed = 0
-    for index in range(0, len(calls), concurrency):
-        window = calls[index:index + concurrency]
-        futures = [backend.submit(method, *args, **kwargs)
-                   for method, args, kwargs in window]
-        for future in futures:
-            future.result()
-            completed += 1
-    elapsed = time.perf_counter() - start
-    return completed / elapsed if elapsed > 0 else float("inf")
-
-
 def gateway_closed_loop_capacity(backend: object, calls: Sequence[Call],
                                  concurrency: int = 8) -> float:
     """Achieved throughput (requests/s) closed-loop *through* a
@@ -129,34 +128,28 @@ def gateway_closed_loop_capacity(backend: object, calls: Sequence[Call],
 
     This is the saturation point the open-loop curve anchors to: the
     gateway pipeline (admission bookkeeping, dispatch slots, read
-    flights) costs more per request than the bare submission seam, so anchoring to :func:`closed_loop_capacity` would place
-    "below saturation" points past the gateway's actual ceiling."""
+    flights) costs more per request than a bare backend call, so
+    anchoring to the backend alone would place "below saturation"
+    points past the gateway's actual ceiling."""
+    config = GatewayConfig(tenant_rate=1e9, tenant_burst=1e9,
+                           queue_depth=1 << 20)
+    service = GatewayService(backend, config)
 
-    async def scenario() -> float:
-        config = GatewayConfig(tenant_rate=1e9, tenant_burst=1e9,
-                               queue_depth=1 << 20)
-        service = GatewayService(backend, config)
-        completed = 0
+    def worker(shard: Sequence[Call]) -> None:
+        for method, args, kwargs in shard:
+            service.handle(method, args, kwargs, tenant="capacity")
 
-        async def worker(shard: Sequence[Call]) -> None:
-            nonlocal completed
-            for method, args, kwargs in shard:
-                await service.handle(method, args, kwargs,
-                                     tenant="capacity")
-                completed += 1
-
-        start = time.perf_counter()
-        try:
-            await asyncio.gather(*[
-                asyncio.ensure_future(worker(calls[index::concurrency]))
-                for index in range(concurrency)
-            ])
-        finally:
-            await service.drain()
-        elapsed = time.perf_counter() - start
-        return completed / elapsed if elapsed > 0 else float("inf")
-
-    return asyncio.run(scenario())
+    workers = [threading.Thread(target=worker,
+                                args=(calls[index::concurrency],))
+               for index in range(concurrency)]
+    start = time.perf_counter()
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join()
+    elapsed = time.perf_counter() - start
+    service.drain()
+    return len(calls) / elapsed if elapsed > 0 else float("inf")
 
 
 # ----------------------------------------------------------------------
@@ -219,102 +212,127 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[index]
 
 
-async def _open_loop(handler: Handler, calls: Sequence[Call],
-                     offered_load: float) -> LoadPoint:
-    """Schedule one arrival every ``1/offered_load`` seconds and fire
-    it as a task -- never waiting for completions, which is what makes
-    the loop open: under overload the latencies grow (or the sheds
-    mount) instead of the arrival clock stretching."""
-    latencies: List[float] = []
-    counts = {"completed": 0, "shed": 0, "degraded": 0, "errors": 0}
+def _open_loop(handlers: Sequence[Handler], calls: Sequence[Call],
+               offered_load: float) -> List[LoadPoint]:
+    """Schedule one arrival every ``1/offered_load`` seconds and hand it
+    to a driver thread -- never waiting for completions, which is what
+    makes the loop open: under overload the latencies grow (or the
+    sheds mount) instead of the arrival clock stretching.  Latency runs
+    from the *scheduled* arrival, so driver lag counts against it.
 
-    async def fire(call: Call) -> None:
-        method, args, kwargs = call
-        begin = time.perf_counter()
+    Arrival ``i`` goes to ``handlers[i % len(handlers)]``; returns one
+    :class:`LoadPoint` per handler."""
+    latencies: List[List[float]] = [[] for _ in handlers]
+    counts = [{"completed": 0, "shed": 0, "degraded": 0, "errors": 0}
+              for _ in handlers]
+    lock = threading.Lock()
+
+    def fire(index: int, scheduled: float) -> None:
+        method, args, kwargs = calls[index]
+        lane = index % len(handlers)
+        result = None
         try:
-            result = await handler(method, args, kwargs)
+            result = handlers[lane](method, args, kwargs)
         except RetryAfter:
-            counts["shed"] += 1
-            return
+            outcome = "shed"
         except Exception:
-            counts["errors"] += 1
-            return
-        latencies.append(time.perf_counter() - begin)
-        counts["completed"] += 1
-        if isinstance(result, PartialResult):
-            counts["degraded"] += 1
+            outcome = "errors"
+        else:
+            outcome = "completed"
+        elapsed = time.perf_counter() - scheduled
+        with lock:
+            counts[lane][outcome] += 1
+            if outcome == "completed":
+                latencies[lane].append(elapsed)
+                if isinstance(result, PartialResult):
+                    counts[lane]["degraded"] += 1
 
+    arrivals: "queue.SimpleQueue[Optional[Tuple[int, float]]]" = \
+        queue.SimpleQueue()
+
+    def drive() -> None:
+        for index, scheduled in iter(arrivals.get, None):
+            fire(index, scheduled)
+
+    # Started before the clock: spawning a thread is no part of an
+    # arrival.
+    drivers = [threading.Thread(target=drive, name="zipg-loadtest")
+               for _ in range(OPEN_LOOP_THREADS)]
+    for thread in drivers:
+        thread.start()
     start = time.perf_counter()
-    tasks = []
-    for index, call in enumerate(calls):
-        delay = start + index / offered_load - time.perf_counter()
+    for index in range(len(calls)):
+        scheduled = start + index / offered_load
+        delay = scheduled - time.perf_counter()
         if delay > 0:
-            await asyncio.sleep(delay)
-        tasks.append(asyncio.ensure_future(fire(call)))
-    await asyncio.gather(*tasks)
+            time.sleep(delay)
+        arrivals.put((index, scheduled))
+    for _ in drivers:
+        arrivals.put(None)
+    for thread in drivers:
+        thread.join()
     duration = time.perf_counter() - start
 
-    latencies.sort()
     to_ms = 1000.0
-    return LoadPoint(
-        offered_load=offered_load,
-        offered=len(calls),
-        completed=counts["completed"],
-        shed=counts["shed"],
-        degraded=counts["degraded"],
-        errors=counts["errors"],
-        duration_s=duration,
-        p50_ms=_percentile(latencies, 0.50) * to_ms,
-        p95_ms=_percentile(latencies, 0.95) * to_ms,
-        p99_ms=_percentile(latencies, 0.99) * to_ms,
-        mean_ms=(sum(latencies) / len(latencies) * to_ms
-                 if latencies else 0.0),
-    )
+    points = []
+    for lane, lane_latencies in enumerate(latencies):
+        lane_latencies.sort()
+        points.append(LoadPoint(
+            offered_load=offered_load / len(handlers),
+            offered=len(calls[lane::len(handlers)]),
+            duration_s=duration,
+            p50_ms=_percentile(lane_latencies, 0.50) * to_ms,
+            p95_ms=_percentile(lane_latencies, 0.95) * to_ms,
+            p99_ms=_percentile(lane_latencies, 0.99) * to_ms,
+            mean_ms=(sum(lane_latencies) / len(lane_latencies) * to_ms
+                     if lane_latencies else 0.0),
+            **counts[lane],
+        ))
+    return points
+
+
+def _gateway_handler(service: GatewayService, tenant: str) -> Handler:
+    def handler(method: str, args: list, kwargs: dict) -> object:
+        return service.handle(method, args, kwargs, tenant=tenant)
+    return handler
 
 
 def gateway_point(backend: object, calls: Sequence[Call],
                   offered_load: float,
                   config: Optional[GatewayConfig] = None,
                   tenant: str = "loadtest") -> LoadPoint:
-    """One open-loop point through a fresh gateway service (started,
-    driven, cleanly drained)."""
-
-    async def scenario() -> LoadPoint:
-        service = GatewayService(backend, config)
-
-        async def handler(method: str, args: list, kwargs: dict) -> object:
-            return await service.handle(method, args, kwargs, tenant=tenant)
-
-        try:
-            return await _open_loop(handler, calls, offered_load)
-        finally:
-            await service.drain()
-
-    return asyncio.run(scenario())
+    """One open-loop point through a fresh gateway service (driven,
+    then cleanly drained)."""
+    service = GatewayService(backend, config)
+    try:
+        (point,) = _open_loop([_gateway_handler(service, tenant)], calls,
+                              offered_load)
+        return point
+    finally:
+        service.drain()
 
 
 def direct_point(backend: object, calls: Sequence[Call],
-                 offered_load: float) -> LoadPoint:
-    """The same open-loop drive straight at the submission seam -- the
-    no-gateway control the overhead ratio is measured against."""
+                 offered_load: float,
+                 config: Optional[GatewayConfig] = None,
+                 tenant: str = "loadtest") -> Tuple[LoadPoint, LoadPoint]:
+    """The no-gateway control and its gateway twin, from one open loop
+    whose arrivals alternate between calling the backend directly and
+    a fresh gateway service.  A stall of the machine lands on both
+    halves alike, so the ratio of their percentiles measures the
+    gateway, not the machine.  Returns ``(direct, gateway)``."""
+    service = GatewayService(backend, config)
 
-    async def scenario() -> LoadPoint:
-        async def handler(method: str, args: list, kwargs: dict) -> object:
-            return await backend.call_async(method, *args, **kwargs)
+    def direct(method: str, args: list, kwargs: dict) -> object:
+        return getattr(backend, method)(*args, **kwargs)
 
-        return await _open_loop(handler, calls, offered_load)
-
-    return asyncio.run(scenario())
-
-
-def latency_curve(backend: object, calls: Sequence[Call],
-                  offered_loads: Sequence[float],
-                  config: Optional[GatewayConfig] = None
-                  ) -> List[LoadPoint]:
-    """The latency-vs-offered-load curve: one gateway point per load,
-    each on a fresh service so bucket state never leaks across points."""
-    return [gateway_point(backend, calls, load, config)
-            for load in offered_loads]
+    try:
+        direct_half, gateway_half = _open_loop(
+            [direct, _gateway_handler(service, tenant)], calls, offered_load
+        )
+        return direct_half, gateway_half
+    finally:
+        service.drain()
 
 
 def admission_config_for(capacity_rps: float,

@@ -77,8 +77,8 @@ SITE_EXECUTOR_CALL = "executor.shard_call"
 #: ``error`` rule here makes admission itself fail -- the shed path
 #: under fault injection -- and a ``crash`` rule kills the gateway.
 SITE_GATEWAY_ADMIT = "gateway.admit"
-#: Gateway backend dispatch, just before the awaitable submission to
-#: the cluster/transport (tags: ``tenant``, ``method``).
+#: Gateway backend dispatch, just before the backend call (tags:
+#: ``tenant``, ``method``).
 SITE_GATEWAY_DISPATCH = "gateway.dispatch"
 #: Replicated-cluster per-replica call (tags: ``shard``, ``server``).
 SITE_REPLICA_CALL = "replication.replica_call"
@@ -89,7 +89,8 @@ SITE_RPC_SEND = "rpc.send"
 #: RPC frame receive (tags: ``method``, ``server``). ``error`` rules
 #: (e.g. ``error=ConnectionResetError``) model resets mid-call.
 SITE_RPC_RECV = "rpc.recv"
-#: Server-side RPC request execution (tags: ``method``, ``server``).
+#: Server-side RPC request execution, in every server role (tags:
+#: ``method``, ``server``: shards >= 0, master -1, gateway -2).
 SITE_RPC_HANDLE = "rpc.handle"
 #: Snapshot data-file write (tags: ``file``).
 SITE_SAVE_WRITE = "save.write"

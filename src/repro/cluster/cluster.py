@@ -16,9 +16,6 @@ all-server broadcast for search queries.
 
 from __future__ import annotations
 
-import asyncio
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set
 
@@ -65,10 +62,6 @@ class ZipGCluster(ZipGSystem):
         # Per-server dispatch seam; None means "in-process against the
         # shared store", materialized lazily by the `transport` property.
         self._transport = None
-        # Awaitable-submission pool (gateway seam), created lazily so
-        # clusters that never serve a gateway pay no threads.
-        self._submitter: Optional[ThreadPoolExecutor] = None
-        self._submitter_lock = threading.Lock()
 
     # -- dispatch --------------------------------------------------------
 
@@ -92,56 +85,6 @@ class ZipGCluster(ZipGSystem):
     @transport.setter
     def transport(self, transport) -> None:
         self._transport = transport
-
-    # -- awaitable submission seam ---------------------------------------
-
-    #: Width of the lazily-created submission pool.  Sized for a
-    #: gateway front door: each submission occupies one thread for the
-    #: life of one cluster call.
-    SUBMIT_WORKERS = 8
-
-    def submit(self, method: str, *args: object, **kwargs: object) -> "Future":
-        """Submit one cluster call; returns a ``concurrent.futures``
-        future (:meth:`call_async` is its awaitable face).
-
-        The call runs on a dedicated submission pool, dispatches
-        through ``self.transport`` exactly like a direct call, and the future
-        carries the same result or typed exception the direct call
-        would have produced."""
-        handler = getattr(self, method)
-        return self._submit_pool().submit(handler, *args, **kwargs)
-
-    async def call_async(self, method: str, *args: object,
-                         **kwargs: object) -> object:
-        """:meth:`submit`, awaited: the backend seam the gateway
-        dispatches through.  A cluster call is local CPU work, so it
-        still needs its thread; a remote
-        :class:`~repro.server.client.ZipGClient` implements the same
-        seam on the event loop itself."""
-        return await asyncio.wrap_future(
-            self.submit(method, *args, **kwargs)
-        )
-
-    def _submit_pool(self) -> ThreadPoolExecutor:
-        pool = self._submitter
-        if pool is None:
-            with self._submitter_lock:
-                pool = self._submitter
-                if pool is None:
-                    pool = ThreadPoolExecutor(
-                        max_workers=self.SUBMIT_WORKERS,
-                        thread_name_prefix="zipg-submit",
-                    )
-                    self._submitter = pool
-        return pool
-
-    def close_submitter(self) -> None:
-        """Shut the submission pool down (idempotent; in-flight
-        submissions finish)."""
-        with self._submitter_lock:
-            pool, self._submitter = self._submitter, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     # -- placement -------------------------------------------------------
 

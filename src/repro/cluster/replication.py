@@ -204,7 +204,7 @@ class ReplicatedZipGCluster(ZipGCluster):
         }
         self._catching_up: Set[int] = set()
         # Identical concurrent broadcasts share one fan-out.
-        self._broadcast_flights = SingleFlight(on_shared=_count_shared_fanout)
+        self._broadcast_flights = SingleFlight()
 
     # ------------------------------------------------------------------
     # Placement
@@ -738,7 +738,7 @@ class ReplicatedZipGCluster(ZipGCluster):
                 outcomes = self._broadcast_flights.do(
                     ("broadcast", id(self), self.store.epoch.value,
                      title, args_key, bool(partial_results)),
-                    fan_out,
+                    fan_out, on_shared=_count_shared_fanout,
                 )
         errors: List[ShardError] = []
         values: List = []

@@ -1,4 +1,4 @@
-"""The async query gateway: admission-controlled front door (§5).
+"""The query gateway: admission-controlled front door (§5).
 
 ZipG's interactive-serving story assumes the store is never driven
 past saturation; this package is the layer that makes that assumption
@@ -7,9 +7,11 @@ via :class:`~repro.server.client.ZipGClient`) with per-tenant token
 buckets, bounded queues with structured backpressure
 (:class:`~repro.core.errors.RetryAfter`), load shedding that degrades
 broadcast reads to the cluster's ``partial_results=True`` path, and
-coalescing of identical in-flight reads -- all on one asyncio event
-loop, which a request never leaves on its way to a remote master: the
-backend seam is ``await backend.call_async(...)``.
+coalescing of identical in-flight reads.  It is the third role of the
+one thread-per-connection RPC server loop
+(:class:`~repro.server.shard_server.RpcServerBase`): a request runs to
+completion on the connection thread that read it, through to the
+backend call.
 
 Layering: ``gateway`` sits above ``cluster`` and ``server`` and below
 ``cli``/``bench``; nothing below imports it.

@@ -15,12 +15,10 @@ claim only means anything if saturation is handled, not assumed away):
   threshold is flagged ``degrade`` -- the service turns sheddable reads
   into ``partial_results=True`` calls instead of failing them.
 
-Everything here is event-loop confined: one coroutine mutates one
-tenant's state at a time, so there are no locks and nothing ever
-blocks.  Time is injected (``clock``) so tests drive the bucket
-deterministically.
+Nothing here locks or blocks: :class:`~repro.gateway.service
+.GatewayService` calls it under its own lock.  Time is injected
+(``clock``) so tests drive the bucket deterministically.
 """
-# zipg: gateway-path
 
 from __future__ import annotations
 
@@ -87,12 +85,13 @@ class _TenantState:
     def __init__(self, name: str, bucket: TokenBucket) -> None:
         self.name = name
         self.bucket = bucket
-        #: Waiters of the admitted requests parked for a dispatch slot.
+        #: Slot hand-off events of the admitted requests parked for a
+        #: dispatch slot.
         self.queue: Deque[object] = deque()
 
 
 class AdmissionController:
-    """Per-tenant token buckets + bounded queues, event-loop confined.
+    """Per-tenant token buckets + bounded queues (the caller locks).
 
     Args:
         tenant_rate: sustained admissions per second per tenant.

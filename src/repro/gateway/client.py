@@ -9,7 +9,6 @@ queue.  Gateway-origin rejections re-raise client-side as the typed
 hint intact) and :class:`~repro.core.errors.GatewayClosed`, so a
 caller can tell "the gateway shed me" from "the store failed".
 """
-# zipg: gateway-path
 
 from __future__ import annotations
 

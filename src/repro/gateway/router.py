@@ -2,7 +2,7 @@
 
 The router is the gateway's policy table, split out from the service
 (mechanism) so admission rules can be reasoned about -- and tested --
-without an event loop.  It answers three questions about an incoming
+without a server.  It answers three questions about an incoming
 method name:
 
 * is it on the gateway's allowlist at all?  The surface is the
@@ -17,7 +17,6 @@ method name:
   under load instead of rejected.  Point reads and all writes are
   never silently degraded.
 """
-# zipg: gateway-path
 
 from __future__ import annotations
 

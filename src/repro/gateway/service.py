@@ -1,11 +1,12 @@
 """The gateway service: admission -> dispatch slot -> batch -> backend.
 
-One :class:`GatewayService` fronts a backend exposing the awaitable
-seam ``await backend.call_async(method, *args, **kwargs)`` -- a remote
-:class:`~repro.server.client.ZipGClient` (asyncio streams on this
-loop) or a local :class:`~repro.cluster.cluster.ZipGCluster` (its
-submission pool, awaited); the service never knows which.  A request
-runs to completion in the task that called :meth:`GatewayService.handle`:
+One :class:`GatewayService` fronts a backend -- a remote
+:class:`~repro.server.client.ZipGClient` or a local
+:class:`~repro.cluster.cluster.ZipGCluster` -- and calls it as
+``getattr(backend, method)(*args, **kwargs)``; the service never knows
+which.  A request runs to completion on the thread that called
+:meth:`GatewayService.handle` (in a served gateway, the connection
+thread that read it):
 
 1. **route** -- classify the method (:mod:`repro.gateway.router`);
    admin verbs bypass admission entirely;
@@ -18,25 +19,21 @@ runs to completion in the task that called :meth:`GatewayService.handle`:
    on; otherwise it parks in its tenant's FIFO until a finishing
    request hands its slot over, round-robin across tenants, so one hot
    tenant's backlog cannot starve another's single request;
-4. **batch** -- identical in-flight reads coalesce: one flight issues
-   the backend call, riders await its result (the async face of
-   :class:`~repro.perf.coalesce.SingleFlight`);
+4. **batch** -- identical in-flight reads coalesce through a
+   :class:`~repro.perf.coalesce.SingleFlight`: one leader calls the
+   backend, riders wait for its result;
 5. **dispatch** -- chaos site ``gateway.dispatch``, then the backend
-   seam.  Reads flagged for degradation go out with
+   call.  Reads flagged for degradation go out with
    ``partial_results=True`` instead of failing -- a shed that returns
    data.
 
-The whole pipeline is event-loop confined: admission state is only
-touched from coroutines, so there are no locks, and the backend seam
-is the only place work may leave the loop.  This module is marked
-``gateway-path``; analysis rule GATE001 rejects anything here that
-would block the loop or hand a request to a thread.
+One lock guards admission, the slot count and the per-tenant metric
+handles; it is never held across a backend call or a wait.
 """
-# zipg: gateway-path
 
 from __future__ import annotations
 
-import asyncio
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -45,6 +42,7 @@ from repro import chaos, obs
 from repro.core.errors import GatewayClosed, RetryAfter
 from repro.gateway.admission import AdmissionController
 from repro.gateway.router import Route, resolve
+from repro.perf.coalesce import SingleFlight
 
 #: Tenant label applied when a request carries none.
 DEFAULT_TENANT = "default"
@@ -105,11 +103,11 @@ class _TenantMetrics:
 
 
 class GatewayService:
-    """Admission-controlled async front door over an awaitable backend.
+    """Admission-controlled front door over a synchronous backend;
+    safe to call from many threads at once.
 
     Args:
-        backend: anything with ``async call_async(method, *args,
-            **kwargs)``.
+        backend: the object whose query/update methods requests call.
         config: admission/queue/dispatch tuning.
         clock: injectable monotonic clock (tests drive the buckets).
     """
@@ -126,16 +124,18 @@ class GatewayService:
             shed_threshold=self.config.shed_threshold,
             clock=clock,
         )
+        self._lock = threading.Lock()
+        #: Signalled (under ``_lock``) when the last busy slot frees.
+        self._slots_idle = threading.Condition(self._lock)
         self._handles: Dict[str, _TenantMetrics] = {}
-        self._read_flights: Dict[Tuple[object, ...], "asyncio.Future"] = {}
+        self._coalescer = SingleFlight()
         # Dispatch slots in use.  Invariant: a slot is free only while
         # nothing is parked -- a finishing request hands its slot to
         # the next parked one instead of freeing it.
         self._busy = 0
         self._draining = False
-        self._drained: Optional["asyncio.Future"] = None
 
-    def _tenant_metrics(self, tenant: str) -> _TenantMetrics:
+    def _tenant_metrics_locked(self, tenant: str) -> _TenantMetrics:
         metrics = self._handles.get(tenant)
         if metrics is None:
             metrics = self._handles[tenant] = _TenantMetrics(tenant)
@@ -145,7 +145,7 @@ class GatewayService:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def drain(self) -> None:
+    def drain(self) -> None:
         """Stop admitting and finish every admitted request.
 
         New requests see :class:`GatewayClosed` immediately; admitted
@@ -154,26 +154,26 @@ class GatewayService:
         dispatch slot is free, which by the slot invariant means the
         queues are empty too.
         """
-        self._draining = True
-        while self._busy:
-            if self._drained is None or self._drained.done():
-                self._drained = asyncio.get_running_loop().create_future()
-            await self._drained
+        with self._lock:
+            self._draining = True
+            while self._busy:
+                self._slots_idle.wait()
 
     @property
     def draining(self) -> bool:
         return self._draining
 
     def queue_depths(self) -> Dict[str, int]:
-        return self._admission.depths()
+        with self._lock:
+            return self._admission.depths()
 
     # ------------------------------------------------------------------
     # The request path
     # ------------------------------------------------------------------
 
-    async def handle(self, method: str, args: Optional[list] = None,
-                     kwargs: Optional[dict] = None,
-                     tenant: str = DEFAULT_TENANT) -> object:
+    def handle(self, method: str, args: Optional[list] = None,
+               kwargs: Optional[dict] = None,
+               tenant: str = DEFAULT_TENANT) -> object:
         """Run one request through the full pipeline; returns the
         backend's result or raises its typed exception.
 
@@ -188,123 +188,90 @@ class GatewayService:
             if not route.admission:
                 # Admin verbs bypass admission: an operator must be
                 # able to inspect an overloaded (or draining) gateway.
-                return await self._submit(route, call_args, call_kwargs,
-                                          tenant)
+                chaos.kick(chaos.SITE_GATEWAY_DISPATCH, tenant=tenant,
+                           method=method)
+                return self._admin(route.method, call_args, call_kwargs)
             started = self._clock()
-            metrics = self._tenant_metrics(tenant)
-            degrade = self._admit(route, tenant, metrics)
-            if self._busy < self.config.dispatchers:
-                self._busy += 1
-            else:
-                await self._park(tenant, metrics)
+            metrics, degrade = self._take_slot(route, tenant)
             try:
                 if degrade:
                     call_kwargs["partial_results"] = True
-                    metrics.shed("degrade").inc()
-                result = await self._submit(route, call_args, call_kwargs,
-                                            tenant)
+                chaos.kick(chaos.SITE_GATEWAY_DISPATCH, tenant=tenant,
+                           method=method)
+                result = self._call(route, call_args, call_kwargs, metrics)
             finally:
                 self._release_slot()
             metrics.latency.observe(self._clock() - started)
             return result
 
-    def _admit(self, route: Route, tenant: str,
-               metrics: _TenantMetrics) -> bool:
-        """Admission for one request; returns its degrade flag."""
+    def _take_slot(self, route: Route,
+                   tenant: str) -> Tuple[_TenantMetrics, bool]:
+        """Admit one request and take a dispatch slot, parked in the
+        tenant's FIFO while every slot is busy; returns the tenant's
+        metrics and the request's degrade flag."""
         chaos.kick(chaos.SITE_GATEWAY_ADMIT, tenant=tenant,
                    method=route.method)
-        if self._draining:
-            raise GatewayClosed("gateway is draining; not admitting")
-        try:
-            degrade = self._admission.admit(tenant, route.sheddable)
-        except RetryAfter as exc:
-            metrics.shed(f"reject_{exc.reason}").inc()
-            raise
-        metrics.admitted.inc()
-        return degrade
-
-    # ------------------------------------------------------------------
-    # Dispatch slots
-    # ------------------------------------------------------------------
-
-    async def _park(self, tenant: str, metrics: _TenantMetrics) -> None:
-        """Every slot is busy: wait in the tenant's queue until a
-        finishing request hands this one its slot."""
-        waiter = asyncio.get_running_loop().create_future()
-        metrics.depth.set(self._admission.park(tenant, waiter))
-        metrics.queued.inc()
-        try:
-            await waiter
-        except asyncio.CancelledError:
-            # The client went away.  Still parked: the cancelled
-            # waiter marks the entry abandoned and the hand-over skips
-            # it.  Handed a slot in the same instant: pass it on.
-            if not waiter.cancelled():
-                self._release_slot()
-            raise
+        with self._lock:
+            metrics = self._tenant_metrics_locked(tenant)
+            if self._draining:
+                raise GatewayClosed("gateway is draining; not admitting")
+            try:
+                degrade = self._admission.admit(tenant, route.sheddable)
+            except RetryAfter as exc:
+                metrics.shed(f"reject_{exc.reason}").inc()
+                raise
+            metrics.admitted.inc()
+            if degrade:
+                metrics.shed("degrade").inc()
+            if self._busy < self.config.dispatchers:
+                self._busy += 1
+                return metrics, degrade
+            handed_slot = threading.Event()
+            metrics.depth.set(self._admission.park(tenant, handed_slot))
+            metrics.queued.inc()
+        handed_slot.wait()
+        return metrics, degrade
 
     def _release_slot(self) -> None:
         """Hand the caller's slot to the next parked request,
         round-robin across tenants, or free it."""
-        while True:
+        with self._lock:
             parked = self._admission.next_parked()
             if parked is None:
                 self._busy -= 1
-                if not self._busy and self._drained is not None \
-                        and not self._drained.done():
-                    self._drained.set_result(None)
+                if not self._busy:
+                    self._slots_idle.notify_all()
                 return
-            tenant, waiter = parked
-            self._tenant_metrics(tenant).depth.set(
+            tenant, handed_slot = parked
+            self._tenant_metrics_locked(tenant).depth.set(
                 self._admission.queue_depth_of(tenant))
-            if not waiter.done():
-                waiter.set_result(None)
-                return
+        handed_slot.set()
 
     # ------------------------------------------------------------------
     # The backend call
     # ------------------------------------------------------------------
 
-    async def _submit(self, route: Route, args: tuple, kwargs: dict,
-                      tenant: str) -> object:
+    def _call(self, route: Route, args: tuple, kwargs: dict,
+              metrics: _TenantMetrics) -> object:
         """One backend call, deduplicating identical in-flight reads."""
-        chaos.kick(chaos.SITE_GATEWAY_DISPATCH, tenant=tenant,
-                   method=route.method)
-        if route.kind == "admin":
-            if route.method == "ping":
-                # The caller is probing *this* process's liveness, and
-                # the wire contract is the literal "pong".
-                return "pong"
-            if not callable(getattr(self.backend, route.method, None)):
-                # Cluster backends carry no RPC admin surface (a remote
-                # ZipGClient backend forwards these end-to-end instead).
-                return self._admin_local(route.method)
+        handler = getattr(self.backend, route.method)
         key = self._flight_key(route, args, kwargs)
         if key is None:
-            return await self.backend.call_async(route.method, *args,
-                                                 **kwargs)
-        flight = self._read_flights.get(key)
-        if flight is None:
-            flight = asyncio.ensure_future(
-                self._fly(key, route.method, args, kwargs))
-            self._read_flights[key] = flight
-        else:
-            # Ride the in-flight call: no second backend submission.
-            self._tenant_metrics(tenant).batched.inc()
-        # Shielded: one waiter going away must not cancel the call the
-        # others are riding on.
-        return await asyncio.shield(flight)
+            return handler(*args, **kwargs)
+        return self._coalescer.do(key, lambda: handler(*args, **kwargs),
+                                on_shared=metrics.batched.inc)
 
-    async def _fly(self, key: Tuple[object, ...], method: str, args: tuple,
-                   kwargs: dict) -> object:
-        try:
-            return await self.backend.call_async(method, *args, **kwargs)
-        finally:
-            del self._read_flights[key]
-
-    def _admin_local(self, method: str) -> object:
-        """The non-callable admin verbs, answered from cluster state
-        (mirrors :meth:`repro.server.master.MasterServer._admin`)."""
+    def _admin(self, method: str, args: tuple, kwargs: dict) -> object:
+        """Admin verbs: ``ping`` probes *this* process (the wire
+        contract is the literal "pong"); the rest go to the backend,
+        or are answered from cluster state when the backend has no
+        RPC admin surface (mirrors
+        :meth:`repro.server.master.MasterServer._admin`)."""
+        if method == "ping":
+            return "pong"
+        handler = getattr(self.backend, method, None)
+        if callable(handler):
+            return handler(*args, **kwargs)
         backend = self.backend
         if method == "topology":
             return {
@@ -324,8 +291,8 @@ class GatewayService:
     @staticmethod
     def _flight_key(route: Route, args: tuple,
                     kwargs: dict) -> Optional[Tuple[object, ...]]:
-        """Coalescing key for reads; ``None`` for writes/admin (every
-        write must reach the store exactly as many times as issued)."""
+        """Coalescing key for reads; ``None`` for writes (every write
+        must reach the store exactly as many times as issued)."""
         if route.kind != "read":
             return None
         try:

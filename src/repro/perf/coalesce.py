@@ -36,16 +36,11 @@ class SingleFlight:
     -- results are shared only across genuinely concurrent callers,
     never cached across time (that is :class:`~repro.perf.cache
     .HotSetCache`'s job).
-
-    Args:
-        on_shared: optional callback invoked once per follower (a call
-            absorbed by an in-flight leader) -- a metrics hook.
     """
 
-    def __init__(self, on_shared: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._flights: Dict[Hashable, _Flight] = {}
-        self._on_shared = on_shared
         self._shared = 0
 
     @property
@@ -53,11 +48,15 @@ class SingleFlight:
         """Calls that joined an in-flight leader instead of executing."""
         return self._shared
 
-    def do(self, key: Hashable, fn: Callable[[], object]) -> object:
+    def do(self, key: Hashable, fn: Callable[[], object],
+           on_shared: Optional[Callable[[], None]] = None) -> object:
         """Run ``fn()`` once per concurrent ``key``; share the outcome.
 
-        Callers must treat a shared return value as read-only -- every
-        follower receives the *same object* the leader produced.
+        ``on_shared`` (a metrics hook) is called, on the caller's
+        thread, when this call joins an in-flight leader instead of
+        executing.  Callers must treat a shared return value as
+        read-only -- every follower receives the *same object* the
+        leader produced.
         """
         with self._lock:
             flight = self._flights.get(key)
@@ -68,8 +67,8 @@ class SingleFlight:
             else:
                 self._shared += 1
         if not leader:
-            if self._on_shared is not None:
-                self._on_shared()
+            if on_shared is not None:
+                on_shared()
             flight.event.wait()
             if flight.error is not None:
                 raise flight.error

@@ -15,9 +15,8 @@ the client's only failure semantic is mapping transport-layer problems
 re-raises as itself, e.g. ``NodeNotFound``).
 
 Connections are pooled per client, one per in-flight call, so a
-client instance is safe to share across threads.  Event-loop callers
-use :meth:`ZipGClient.call_async`, which keeps its own pool of asyncio
-streams.
+client instance is safe to share across threads -- a gateway fronting
+a remote master calls one from every connection thread.
 """
 # zipg: robust-path
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.core.model import PropertyList
-from repro.server.transport import _AsyncConnectionPool, _ConnectionPool
+from repro.server.transport import _ConnectionPool
 
 
 class ZipGClient:
@@ -37,7 +36,6 @@ class ZipGClient:
         self.host = host
         self.port = port
         self._rpc_pool = _ConnectionPool(-1, host, port, timeout_s)
-        self._async_pool = _AsyncConnectionPool(-1, host, port, timeout_s)
         #: Envelope-level fields stamped on every request this client
         #: sends (the gateway client sets ``{"tenant": ...}`` here).
         self._request_extra: Dict[str, object] = {}
@@ -52,26 +50,8 @@ class ZipGClient:
             extra=self._request_extra or None,
         )
 
-    async def call_async(self, method: str, *args: object,
-                         **kwargs: object) -> object:
-        """One RPC awaited on the caller's event loop, over asyncio
-        streams -- the awaitable backend seam a gateway fronting a
-        remote master dispatches through.  Same wire request, same
-        result or typed exception as the blocking methods, and no
-        thread between the caller and the socket."""
-        return await self._async_pool.round_trip(
-            method, list(args), kwargs=kwargs or None,
-            extra=self._request_extra or None,
-        )
-
-    async def aclose(self) -> None:
-        """Release :meth:`call_async`'s streams; await it on the loop
-        that made the calls, before that loop ends."""
-        await self._async_pool.aclose()
-
     def close(self) -> None:
         self._rpc_pool.close()
-        self._async_pool.close()
 
     def __enter__(self) -> "ZipGClient":
         return self

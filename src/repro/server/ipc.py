@@ -33,7 +33,6 @@ the read path).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -80,20 +79,6 @@ class _SocketWriter:
         """Sockets have no userspace buffer to flush."""
 
 
-class _StreamWriterAdapter:
-    """The same adapter over an asyncio ``StreamWriter`` (whose
-    ``write`` only buffers; the caller awaits ``drain()`` after)."""
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self._writer = writer
-
-    def write(self, data: bytes) -> None:
-        self._writer.write(data)
-
-    def flush(self) -> None:
-        """Draining happens in the caller's coroutine."""
-
-
 def encode_frame(payload: Dict[str, object]) -> bytes:
     """Serialize one message into its on-wire frame."""
     data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
@@ -133,19 +118,6 @@ def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def _decode_body(body: bytes) -> Dict[str, object]:
-    """Decode one frame payload (shared by the sync and async readers)."""
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FrameError(f"undecodable frame payload: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FrameError(
-            f"frame payload must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
-
-
 def recv_frame(sock: socket.socket, **tags: object) -> Dict[str, object]:
     """Receive and decode one frame (chaos site ``rpc.recv``)."""
     chaos.kick(chaos.SITE_RPC_RECV, **tags)
@@ -161,50 +133,12 @@ def recv_frame(sock: socket.socket, **tags: object) -> Dict[str, object]:
     body = _recv_exact(sock, length) if length else b""
     if body is None:
         raise TornFrame("connection ended between header and payload")
-    return _decode_body(body)
-
-
-# ----------------------------------------------------------------------
-# asyncio variants (the gateway's event loop speaks the same frames)
-# ----------------------------------------------------------------------
-
-
-async def recv_frame_async(reader: asyncio.StreamReader,
-                           **tags: object) -> Dict[str, object]:
-    """:func:`recv_frame` over an asyncio stream (same chaos site,
-    same error taxonomy, same cap-before-allocation discipline)."""
-    chaos.kick(chaos.SITE_RPC_RECV, **tags)
     try:
-        header = await reader.readexactly(HEADER_BYTES)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise ConnectionClosed("peer closed the connection") from exc
-        raise TornFrame(
-            f"connection ended {len(exc.partial)}/{HEADER_BYTES} bytes "
-            f"into a header"
-        ) from exc
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(
-            f"length prefix {length} exceeds MAX_FRAME_BYTES "
-            f"({MAX_FRAME_BYTES})"
+        payload = json.loads(body.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise FrameError(f"undecodable frame payload: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FrameError(
+            f"frame payload must be a JSON object, got {type(payload).__name__}"
         )
-    try:
-        body = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError as exc:
-        raise TornFrame(
-            f"connection ended {len(exc.partial)}/{length} bytes into a frame"
-        ) from exc
-    return _decode_body(body)
-
-
-async def send_frame_async(writer: asyncio.StreamWriter,
-                           payload: Dict[str, object],
-                           **tags: object) -> None:
-    """:func:`send_frame` over an asyncio stream (chaos site
-    ``rpc.send``; ``StreamWriter.write`` only buffers, so torn-write
-    faults tear the gateway's frames exactly like socket sends)."""
-    frame = encode_frame(payload)
-    chaos.write_bytes(chaos.SITE_RPC_SEND, _StreamWriterAdapter(writer),
-                      frame, **tags)
-    await writer.drain()
+    return payload

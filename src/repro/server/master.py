@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.server.protocol import decode_value
 from repro.server.shard_server import RpcServerBase
 
 #: ``server`` tag the master stamps on frames and spans. Distinct from
@@ -75,12 +74,9 @@ class MasterServer(RpcServerBase):
         self.cluster = cluster
 
     # zipg: rpc-entry
-    def _execute(self, request: Dict[str, object], method: str) -> object:
-        args = [decode_value(arg) for arg in request.get("args", [])]
-        kwargs = {
-            key: decode_value(value)
-            for key, value in (request.get("kwargs") or {}).items()
-        }
+    def _execute(self, method: str, args: List[object],
+                 kwargs: Dict[str, object],
+                 request: Dict[str, object]) -> object:
         if method in ADMIN_METHODS:
             return self._admin(method, args)
         if method not in READ_METHODS and method not in WRITE_METHODS:

@@ -7,10 +7,10 @@ Requests and responses are JSON objects carried in :mod:`ipc` frames::
     response: {"id": 7, "ok": true,  "value": <encoded>}
               {"id": 7, "ok": false, "error": <encoded exception>}
 
-``id`` correlates responses with requests: the threaded servers answer
-one connection in arrival order, but the gateway runs each request as
-its own task and may not, so a client matches on ``id`` and buffers
-responses destined for other in-flight calls (:class:`RpcConnection`).  ``trace`` carries the
+``id`` pairs a response with its request: every server role (shard,
+master, gateway) answers one connection in arrival order and no caller
+pipelines, so a response carrying any other id means the peer broke
+the contract (:class:`RpcConnection` checks).  ``trace`` carries the
 caller's :mod:`repro.obs` span context (trace id + span id) so server
 spans attach to the originating query's trace.
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 import base64
 import itertools
 import socket
-import threading
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.core.errors import (
@@ -328,30 +327,23 @@ def unpack_response(response: Dict[str, object]) -> object:
 
 
 class RpcConnection:
-    """One framed RPC connection with id-correlated responses.
+    """One framed RPC connection, one request in flight at a time.
 
-    Supports pipelining: multiple requests may be sent before their
-    responses are read, and responses may arrive in any order -- a
-    response for another outstanding request is buffered until its
-    :meth:`recv_response` call comes asking.  Sending is serialized
-    under a lock; concurrent :meth:`call` invocations from multiple
-    threads should use one connection each (the transport pools them).
+    A round trip is send, then receive: servers answer a connection in
+    arrival order, so the next frame is this request's response.  Not
+    safe to share between threads -- callers pool one connection per
+    in-flight call (:class:`~repro.server.transport._ConnectionPool`).
     """
 
     _ids = itertools.count(1)
 
-    def __init__(self, sock: socket.socket, peer: str = "?",
+    def __init__(self, sock: socket.socket,
                  tags: Optional[Dict[str, object]] = None) -> None:
         self._sock = sock
-        self.peer = peer
         #: Extra chaos-site tags stamped on every frame this connection
         #: sends or receives (e.g. ``server=2``), so fault rules can
         #: target one peer.
         self._tags = dict(tags or {})
-        self._send_lock = threading.Lock()
-        self._recv_lock = threading.Lock()
-        self._buffered: Dict[int, Dict[str, object]] = {}
-        self._closed = False
 
     @classmethod
     def connect(cls, host: str, port: int,
@@ -359,61 +351,28 @@ class RpcConnection:
                 tags: Optional[Dict[str, object]] = None) -> "RpcConnection":
         sock = socket.create_connection((host, port), timeout=timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return cls(sock, peer=f"{host}:{port}", tags=tags)
+        return cls(sock, tags=tags)
 
-    def settimeout(self, timeout_s: Optional[float]) -> None:
-        self._sock.settimeout(timeout_s)
-
-    def send_request(self, method: str, args: List[object],
-                     unit: Optional[int] = None,
-                     kwargs: Optional[Dict[str, object]] = None,
-                     trace: Optional[Dict[str, str]] = None,
-                     extra: Optional[Dict[str, object]] = None) -> int:
-        """Frame and send one request; returns its correlation id."""
+    def round_trip(self, method: str, args: List[object],
+                   unit: Optional[int] = None,
+                   kwargs: Optional[Dict[str, object]] = None,
+                   trace: Optional[Dict[str, str]] = None,
+                   extra: Optional[Dict[str, object]] = None
+                   ) -> Dict[str, object]:
+        """Send one request and return its raw response frame."""
         request_id = next(self._ids)
         request = make_request(request_id, method, args, unit=unit,
                                kwargs=kwargs, trace=trace, extra=extra)
-        with self._send_lock:
-            ipc.send_frame(self._sock, request, method=method, **self._tags)
-        return request_id
-
-    def recv_response(self, request_id: int) -> Dict[str, object]:
-        """The raw response for ``request_id`` (other ids buffered)."""
-        with self._recv_lock:
-            if request_id in self._buffered:
-                return self._buffered.pop(request_id)
-            while True:
-                frame = ipc.recv_frame(self._sock, **self._tags)
-                frame_id = frame.get("id")
-                if frame_id == request_id:
-                    return frame
-                if isinstance(frame_id, int):
-                    self._buffered[frame_id] = frame
-                else:
-                    raise FrameDecodeError(
-                        f"response without an id: {frame!r}"
-                    )
-
-    def call(self, method: str, args: List[object],
-             unit: Optional[int] = None,
-             kwargs: Optional[Dict[str, object]] = None,
-             trace: Optional[Dict[str, str]] = None) -> object:
-        """One request/response round trip; decodes value or raises."""
-        request_id = self.send_request(method, args, unit=unit,
-                                       kwargs=kwargs, trace=trace)
-        return unpack_response(self.recv_response(request_id))
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+        ipc.send_frame(self._sock, request, method=method, **self._tags)
+        response = ipc.recv_frame(self._sock, **self._tags)
+        if response.get("id") != request_id:
+            raise FrameDecodeError(
+                f"response for another request: {response!r}"
+            )
+        return response
 
     def close(self) -> None:
-        with self._send_lock:
-            if self._closed:
-                return
-            self._closed = True
-        # Socket teardown happens outside the lock: never hold the
-        # send lock around I/O that can block.
+        """Idempotent (closing a closed socket is a no-op)."""
         try:
             self._sock.close()
         except OSError:

@@ -1,20 +1,21 @@
 """Framed-RPC server machinery and the shard-server role.
 
-:class:`RpcServerBase` owns everything both server roles share:
-connections are accepted on a listener thread and each connection gets
-one thread that reads a request, executes it and writes the response
-before it reads the next -- run to completion, no hand-off.  The
-contract that follows: requests on one connection are answered in
-arrival order, and concurrency is the number of connections (callers
-pool one connection per in-flight call, see
-:class:`~repro.server.transport._ConnectionPool`); a slow request
-delays only its own connection.  Subclasses supply
-:meth:`RpcServerBase._execute`.
+:class:`RpcServerBase` is the one server loop of the serving stack;
+the shard, master and gateway roles each supply only
+:meth:`RpcServerBase._execute`.  Connections are accepted on a
+listener thread and each connection gets one thread that reads a
+request, executes it and writes the response before it reads the
+next -- run to completion, no hand-off.  The contract that follows:
+requests on one connection are answered in arrival order, and
+concurrency is the number of connections (callers pool one connection
+per in-flight call, see :class:`~repro.server.transport._ConnectionPool`);
+a slow request delays only its own connection.
 
 :class:`ShardServer` is the worker role: one local
 :class:`~repro.core.graph_store.ZipG` replica answering the
 :mod:`repro.server.ops` surface (the master role lives in
-:mod:`repro.server.master`).
+:mod:`repro.server.master`, the gateway role in
+:mod:`repro.gateway.server`).
 
 Failure semantics, from the server's side of the wire:
 
@@ -22,8 +23,9 @@ Failure semantics, from the server's side of the wire:
   response -- the typed exception re-raises client-side;
 * a peer that vanishes (reset, torn frame) kills only that
   connection's thread; the store and other connections are untouched;
-* :class:`~repro.chaos.SimulatedCrash` out of a ``rpc.handle`` or
-  ``rpc.send`` chaos rule is a *process death model* -- it tears down
+* :class:`~repro.chaos.SimulatedCrash` out of a ``rpc.recv``,
+  ``rpc.handle`` or ``rpc.send`` chaos rule (or any site a role's
+  ``_execute`` passes) is a *process death model* -- it tears down
   the whole server (listener included), so clients observe exactly
   what a kill -9 produces: connection resets and refused reconnects.
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import chaos, obs
 from repro.core.graph_store import ZipG
@@ -64,8 +66,13 @@ class RpcServerBase:
             chosen one off :attr:`address`).
     """
 
-    #: Role tag used in thread names and spans ("shard" / "master").
+    #: Role tag used in thread names and metrics ("shard" / "master" /
+    #: "gateway").
     role = "server"
+    #: Each request's remote span is ``<span_prefix>.<method>`` in
+    #: layer ``span_layer``.
+    span_prefix = "rpc"
+    span_layer = "server"
 
     def __init__(self, server_id: int = 0, host: str = "127.0.0.1",
                  port: int = 0) -> None:
@@ -78,8 +85,11 @@ class RpcServerBase:
         self._stopping = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
 
-    def _execute(self, request: Dict[str, object], method: str) -> object:
-        """Run one decoded request; subclasses implement dispatch."""
+    def _execute(self, method: str, args: List[object],
+                 kwargs: Dict[str, object],
+                 request: Dict[str, object]) -> object:
+        """Run one request (arguments already decoded; ``request`` is
+        the raw envelope); subclasses implement dispatch."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -166,6 +176,9 @@ class RpcServerBase:
                     request = ipc.recv_frame(sock, server=self.server_id)
                 except (ipc.ConnectionClosed, OSError):
                     return  # peer hung up (or we are stopping)
+                except chaos.SimulatedCrash:
+                    self._crash()
+                    return
                 except ipc.FrameError as exc:
                     # Protocol violation: answer if the stream still
                     # works, then drop the connection -- framing state
@@ -189,11 +202,16 @@ class RpcServerBase:
             chaos.kick(chaos.SITE_RPC_HANDLE,
                        method=method, server=self.server_id)
             with obs.remote_span(
-                f"rpc.{method}",
+                f"{self.span_prefix}.{method}",
                 trace if isinstance(trace, dict) else None,
-                layer="server", method=method, server=self.server_id,
+                layer=self.span_layer, method=method, server=self.server_id,
             ):
-                value = self._execute(request, method)
+                args = [decode_value(arg) for arg in request.get("args", [])]
+                kwargs = {
+                    key: decode_value(value)
+                    for key, value in (request.get("kwargs") or {}).items()
+                }
+                value = self._execute(method, args, kwargs, request)
             response = make_response(request_id, value)
         except chaos.SimulatedCrash:
             # kill -9 model: the whole process dies, not one request.
@@ -235,7 +253,9 @@ class RpcServerBase:
             help="server deaths injected at rpc.* sites",
             labels={"server": str(self.server_id), "role": self.role},
         ).inc()
-        self.stop()
+        # The base stop, not a role's graceful one: a dead process
+        # drains nothing.
+        RpcServerBase.stop(self)
 
 
 class ShardServer(RpcServerBase):
@@ -259,12 +279,9 @@ class ShardServer(RpcServerBase):
         self.apply_writes = apply_writes
 
     # zipg: rpc-entry
-    def _execute(self, request: Dict[str, object], method: str) -> object:
-        args = [decode_value(arg) for arg in request.get("args", [])]
-        kwargs = {
-            key: decode_value(value)
-            for key, value in (request.get("kwargs") or {}).items()
-        }
+    def _execute(self, method: str, args: List[object],
+                 kwargs: Dict[str, object],
+                 request: Dict[str, object]) -> object:
         unit = request.get("unit")
         return ops.run_op(self.store, method, args, kwargs=kwargs,
                           unit=unit if isinstance(unit, int) else None,

@@ -11,14 +11,13 @@ implement that contract:
 * :class:`SocketTransport` speaks the :mod:`repro.server.ipc` framed
   protocol to real shard-server processes, pooling one
   :class:`~repro.server.protocol.RpcConnection` per in-flight call per
-  server so concurrent executor fan-outs never interleave writes on a
-  socket.
+  server so concurrent callers never interleave frames on a socket.
 
 One pooled round trip (check out, send, receive, check in) and its
 failure mapping are written once, in :class:`_ConnectionPool`, for
-both :class:`SocketTransport` and the master's
-:class:`~repro.server.client.ZipGClient`; :class:`_AsyncConnectionPool`
-is the same round trip over asyncio streams for event-loop callers.
+both :class:`SocketTransport` and
+:class:`~repro.server.client.ZipGClient` (the client of the master and
+of the gateway).
 
 Failure mapping is the heart of the seam: every transport-layer
 failure -- connection refused, reset mid-call, torn or oversized
@@ -35,8 +34,6 @@ never swallowed into a retry.
 
 from __future__ import annotations
 
-import asyncio
-import itertools
 import threading
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Tuple
@@ -45,12 +42,7 @@ from repro import obs
 from repro.core.errors import TransportError
 from repro.core.graph_store import ZipG
 from repro.server import ipc, ops
-from repro.server.protocol import (
-    FrameDecodeError,
-    RpcConnection,
-    make_request,
-    unpack_response,
-)
+from repro.server.protocol import RpcConnection, unpack_response
 
 
 class Transport(ABC):
@@ -86,10 +78,15 @@ class InProcessTransport(Transport):
                           unit=unit, apply_writes=self.apply_writes)
 
 
-class _PeerPool:
-    """What the threaded and the asyncio connection pool share: the
-    peer's address, and the one place transport-layer failures are
-    counted and worded as :class:`TransportError`."""
+class _ConnectionPool:
+    """Idle :class:`RpcConnection`\\ s for one server address, and the
+    one place transport-layer failures are counted and worded as
+    :class:`TransportError`.
+
+    Each round trip gets its own connection (created on demand), so
+    concurrent calls never share a socket; clean round trips return the
+    connection for reuse, failed ones close it -- a socket that just
+    tore a frame has undefined stream state."""
 
     def __init__(self, server_id: int, host: str, port: int,
                  timeout_s: Optional[float]) -> None:
@@ -99,40 +96,6 @@ class _PeerPool:
         self.timeout_s = timeout_s
         #: How failure messages name the peer (the master is id -1).
         self.label = "master" if server_id < 0 else f"server {server_id}"
-
-    def connect_error(self, exc: BaseException) -> TransportError:
-        self._count_failure("connect")
-        return TransportError(
-            f"cannot connect to {self.label} "
-            f"({self.host}:{self.port}): {exc}"
-        )
-
-    def call_error(self, method: str, exc: BaseException) -> TransportError:
-        self._count_failure(type(exc).__name__)
-        return TransportError(
-            f"rpc {method!r} to {self.label} failed: "
-            f"{type(exc).__name__}: {exc}"
-        )
-
-    def _count_failure(self, kind: str) -> None:
-        obs.counter(
-            "zipg_transport_failures_total",
-            help="RPC calls that failed at the transport layer",
-            labels={"server": str(self.server_id), "kind": kind},
-        ).inc()
-
-
-class _ConnectionPool(_PeerPool):
-    """Idle :class:`RpcConnection`\\ s for one server address.
-
-    Each round trip gets its own connection (created on demand), so
-    concurrent calls never share a socket; clean round trips return the
-    connection for reuse, failed ones close it -- a socket that just
-    tore a frame has undefined stream state."""
-
-    def __init__(self, server_id: int, host: str, port: int,
-                 timeout_s: Optional[float]) -> None:
-        super().__init__(server_id, host, port, timeout_s)
         self._lock = threading.Lock()
         self._idle: List[RpcConnection] = []
         self._shutdown = False
@@ -147,16 +110,23 @@ class _ConnectionPool(_PeerPool):
         try:
             connection = self._checkout()
         except OSError as exc:
-            raise self.connect_error(exc) from exc
+            self._count_failure("connect")
+            raise TransportError(
+                f"cannot connect to {self.label} "
+                f"({self.host}:{self.port}): {exc}"
+            ) from exc
         try:
-            request_id = connection.send_request(
+            response = connection.round_trip(
                 method, args, unit=unit, kwargs=kwargs,
                 trace=obs.current_trace_context(), extra=extra,
             )
-            response = connection.recv_response(request_id)
         except (OSError, ipc.FrameError) as exc:
             connection.close()
-            raise self.call_error(method, exc) from exc
+            self._count_failure(type(exc).__name__)
+            raise TransportError(
+                f"rpc {method!r} to {self.label} failed: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         except BaseException:
             # SimulatedCrash and friends: the stream state is unknown,
             # drop the connection, but let the crash keep flying.
@@ -167,6 +137,13 @@ class _ConnectionPool(_PeerPool):
         # NodeNotFound raised by the operation itself) re-raises as its
         # own type, not as a transport failure.
         return unpack_response(response)
+
+    def _count_failure(self, kind: str) -> None:
+        obs.counter(
+            "zipg_transport_failures_total",
+            help="RPC calls that failed at the transport layer",
+            labels={"server": str(self.server_id), "kind": kind},
+        ).inc()
 
     def _checkout(self) -> RpcConnection:
         with self._lock:
@@ -179,7 +156,7 @@ class _ConnectionPool(_PeerPool):
 
     def _checkin(self, connection: RpcConnection) -> None:
         with self._lock:
-            if not self._shutdown and not connection.closed:
+            if not self._shutdown:
                 self._idle.append(connection)
                 return
         connection.close()
@@ -190,108 +167,6 @@ class _ConnectionPool(_PeerPool):
             idle, self._idle = self._idle, []
         for connection in idle:
             connection.close()
-
-
-_Stream = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-
-
-class _AsyncConnectionPool(_PeerPool):
-    """The same pool over asyncio streams, for a caller that lives on
-    an event loop (the gateway): a round trip never leaves the loop,
-    so there is no thread to hand the request to and none to wake.
-
-    One stream per in-flight call, so the pool is as wide as its
-    caller's concurrency (the gateway's ``dispatchers``).  Streams
-    belong to the loop that opened them; a call from another loop
-    drops the stale ones first.  Round trips are event-loop confined,
-    like everything else on the gateway path; only :meth:`close` may
-    come from another thread."""
-
-    def __init__(self, server_id: int, host: str, port: int,
-                 timeout_s: Optional[float]) -> None:
-        super().__init__(server_id, host, port, timeout_s)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._streams: List[_Stream] = []
-        self._released = False
-        self._ids = itertools.count(1)
-
-    async def round_trip(self, method: str, args: List[object],
-                         kwargs: Optional[Dict[str, object]] = None,
-                         extra: Optional[Dict[str, object]] = None) -> object:
-        """:meth:`_ConnectionPool.round_trip`, awaited."""
-        loop = asyncio.get_running_loop()
-        if loop is not self._loop:
-            self._drop_idle()
-            self._loop = loop
-        try:
-            reader, writer = self._streams.pop() if self._streams else (
-                await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
-                    self.timeout_s)
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise self.connect_error(exc) from exc
-        request = make_request(next(self._ids), method, args, kwargs=kwargs,
-                               trace=obs.current_trace_context(), extra=extra)
-        # The socket timeout of the threaded pool, without a task per
-        # call: one in-flight request per stream, so expiring the
-        # request is aborting the stream under the pending read.
-        expiry = (loop.call_later(self.timeout_s, writer.transport.abort)
-                  if self.timeout_s is not None else None)
-        try:
-            await ipc.send_frame_async(writer, request, method=method,
-                                       server=self.server_id)
-            response = await ipc.recv_frame_async(reader,
-                                                  server=self.server_id)
-            if response.get("id") != request["id"]:
-                raise FrameDecodeError(
-                    f"response for another request: {response!r}"
-                )
-        except (OSError, ipc.FrameError) as exc:
-            writer.close()
-            if expiry is not None and loop.time() >= expiry.when():
-                exc = TimeoutError(f"no response within {self.timeout_s}s")
-            raise self.call_error(method, exc) from exc
-        except BaseException:
-            writer.close()  # cancelled mid-call: stream state unknown
-            raise
-        finally:
-            if expiry is not None:
-                expiry.cancel()
-        if self._released:
-            writer.close()
-        else:
-            self._streams.append((reader, writer))
-        return unpack_response(response)
-
-    async def aclose(self) -> None:
-        """Close the idle streams on the loop that owns them (its
-        owner calls this before that loop ends)."""
-        idle, self._streams = self._streams, []
-        for _reader, writer in idle:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass  # zipg: ignore[ROBUST001] - already reset
-
-    def _drop_idle(self) -> None:
-        """Best effort from outside the owning loop (another thread,
-        or after the loop ended without :meth:`aclose`)."""
-        loop = self._loop
-        idle, self._streams = self._streams, []
-        for _reader, writer in idle:
-            try:
-                loop.call_soon_threadsafe(writer.close)
-            except RuntimeError:
-                # Its loop is already closed: dropping this last
-                # reference closes the socket.
-                pass  # zipg: ignore[ROBUST001] - advisory cleanup
-
-    def close(self) -> None:
-        """Callable from any thread (the owner's ``close()``)."""
-        self._released = True
-        self._drop_idle()
 
 
 class SocketTransport(Transport):

@@ -33,18 +33,3 @@ class SharedCounter:
     def _write_through(self):
         self.pending = 0  # clean: every caller path holds the lock
 
-
-class SeamBackend:
-    """Its methods run on a submission pool when named through the
-    awaitable backend seam."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.seen = 0
-
-    def record(self):
-        self.seen += 1  # RACE001: reached by name through call_async
-
-
-async def drive(backend):
-    return await backend.call_async("record")

@@ -361,76 +361,6 @@ class TestRpcRule:
 
 
 # ----------------------------------------------------------------------
-# Gateway event-loop discipline
-# ----------------------------------------------------------------------
-
-
-class TestGatewayRule:
-    def test_time_sleep_and_bare_sleep_flagged(self):
-        path = fixture("gateway_blocking.py")
-        found = hits(findings_for("gateway_blocking.py", ["GATE001"]))
-        assert ("GATE001",
-                line_of(path, "GATE001: stalls every tenant")) in found
-        assert ("GATE001",
-                line_of(path, "GATE001: bare sleep")) in found
-
-    def test_sync_socket_io_flagged(self):
-        path = fixture("gateway_blocking.py")
-        found = hits(findings_for("gateway_blocking.py", ["GATE001"]))
-        assert ("GATE001",
-                line_of(path, "GATE001 (and RPC001)")) in found
-        assert ("GATE001",
-                line_of(path, "GATE001: sync socket read")) in found
-        assert ("GATE001",
-                line_of(path, "GATE001: blocking connect")) in found
-
-    def test_lock_acquire_flagged(self):
-        path = fixture("gateway_blocking.py")
-        found = hits(findings_for("gateway_blocking.py", ["GATE001"]))
-        assert ("GATE001",
-                line_of(path, "GATE001: thread lock parks")) in found
-
-    def test_thread_handoff_flagged(self):
-        # The awaitable backend seam replaced submit + wrap_future on
-        # the gateway path; a pool hand-off there is a finding.
-        path = fixture("gateway_blocking.py")
-        found = hits(findings_for("gateway_blocking.py", ["GATE001"]))
-        assert ("GATE001",
-                line_of(path, "GATE001: a thread per request")) in found
-        assert ("GATE001",
-                line_of(path, "GATE001: and a wake-up back")) in found
-
-    def test_executor_offload_function_exempt(self):
-        path = fixture("gateway_blocking.py")
-        found = findings_for("gateway_blocking.py", ["GATE001"])
-        offloaded = line_of(path, "this runs on the submission pool") + 1
-        assert not any(f.line == offloaded for f in found)
-        assert len(found) == 8  # nothing in idiomatic() either
-
-    def test_unmarked_modules_exempt(self):
-        # time.sleep in a module without gateway-path is out of scope
-        # (backoff loops in the threaded transport are legitimate).
-        found = findings_for("rpc_violations.py", ["GATE001"])
-        assert found == []
-
-    def test_gateway_package_is_clean(self):
-        # The shipped gateway really holds its own discipline, and its
-        # modules really are marked (a silently-unmarked module would
-        # pass vacuously).
-        src_path = os.path.join(SRC_REPRO, "gateway")
-        findings, context = analyze_paths([src_path], ["GATE001"])
-        assert findings == []
-        marked = {
-            module.name
-            for module in context.modules
-            if module.markers.module_has("gateway-path")
-        }
-        assert "repro.gateway.service" in marked
-        assert "repro.gateway.server" in marked
-        assert "repro.gateway.admission" in marked
-
-
-# ----------------------------------------------------------------------
 # Engine behaviour + CLI
 # ----------------------------------------------------------------------
 
@@ -527,16 +457,9 @@ class TestRaceRule:
             for _, line in found
         )
 
-    def test_backend_seam_method_name_is_a_thread_entry(self):
-        path = fixture("race_violation.py")
-        found = findings_for("race_violation.py", ["RACE001"])
-        assert ("RACE001",
-                line_of(path, "RACE001: reached by name")) in hits(found)
-        assert any("call_async() fan-out" in f.message for f in found)
-
     def test_only_the_unsafe_writes_flagged(self):
         found = findings_for("race_violation.py", ["RACE001"])
-        assert len(found) == 2
+        assert len(found) == 1
 
 
 # ----------------------------------------------------------------------
@@ -815,7 +738,7 @@ class TestCliExtensions:
         body, summary = out.rsplit("scanned ", 1)
         assert "race_violation.py" in body
         assert "deadlock_cycle.py" not in body
-        assert "2 finding(s)" in summary
+        assert "1 finding(s)" in summary
 
     def test_changed_with_nothing_relevant_passes(self, capsys, monkeypatch):
         import repro.analysis.__main__ as driver

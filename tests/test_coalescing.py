@@ -111,7 +111,7 @@ class TestSingleFlight:
 
     def test_on_shared_hook_fires_per_follower(self):
         shared_calls = []
-        flights = SingleFlight(on_shared=lambda: shared_calls.append(1))
+        flights = SingleFlight()
         release = threading.Event()
         entered = threading.Event()
 
@@ -120,10 +120,13 @@ class TestSingleFlight:
             release.wait(5)
             return 0
 
-        leader = threading.Thread(target=lambda: flights.do("k", fn))
+        def call():
+            flights.do("k", fn, on_shared=lambda: shared_calls.append(1))
+
+        leader = threading.Thread(target=call)
         leader.start()
         assert entered.wait(5)
-        follower = threading.Thread(target=lambda: flights.do("k", fn))
+        follower = threading.Thread(target=call)
         follower.start()
         _await(lambda: flights.shared == 1)
         release.set()
@@ -256,9 +259,9 @@ class TestClusterKnobs:
         keys = []
         real = cluster._broadcast_flights.do
 
-        def spy(flight_key, fn):
+        def spy(flight_key, fn, **kwargs):
             keys.append(flight_key)
-            return real(flight_key, fn)
+            return real(flight_key, fn, **kwargs)
 
         monkeypatch.setattr(cluster._broadcast_flights, "do", spy)
         expected = cluster.get_node_ids({"city": "Ithaca"})

@@ -1,11 +1,12 @@
-"""RPC framing edge cases, pipelined connections, and socket chaos.
+"""RPC framing edge cases, the server loop's contract, and socket chaos.
 
 The framing tests drive :mod:`repro.server.ipc` over socketpairs --
-torn frames, oversized prefixes, undecodable payloads.  The pipelining
-tests pin the client's id correlation (a gateway may answer one
-connection out of order) and the threaded servers' contract: one
-connection is answered in arrival order, and a slow request delays
-only its own connection.  The chaos matrix runs the replicated cluster over the
+torn frames, oversized prefixes, undecodable payloads.  The
+arrival-order tests pin the contract of the one server loop, for each
+of its three roles (shard, master, gateway): one connection is
+answered in arrival order, a slow request delays only its own
+connection, and a crash at any server-side ``rpc.*`` site kills the
+whole server.  The chaos matrix runs the replicated cluster over the
 socket transport with seeded ``rpc.send`` / ``rpc.recv`` fault rules
 and asserts every failure stays structured.
 """
@@ -23,14 +24,10 @@ from repro.chaos import ChaosInjector, FaultRule
 from repro.cluster import ReplicatedZipGCluster
 from repro.core import GraphData, ZipG
 from repro.core.errors import ShardCallError, TransportError
-from repro.server import ipc
+from repro.gateway import GatewayServer
+from repro.server import MasterServer, ipc
 from repro.server.loopback import LoopbackCluster
-from repro.server.protocol import (
-    RpcConnection,
-    make_request,
-    make_response,
-    unpack_response,
-)
+from repro.server.protocol import make_request, unpack_response
 from repro.server.shard_server import ShardServer
 
 
@@ -52,6 +49,37 @@ def make_store():
 def pair():
     left, right = socket.socketpair()
     return left, right
+
+
+#: The roles of the one server loop.
+ROLES = ["shard", "master", "gateway"]
+
+
+def make_server(role):
+    store = make_store()
+    if role == "shard":
+        return ShardServer(store, server_id=0, apply_writes=False)
+    cluster = ReplicatedZipGCluster(store, num_servers=2,
+                                    replication_factor=1)
+    if role == "master":
+        return MasterServer(cluster)
+    return GatewayServer(cluster)
+
+
+def wait_until(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def ping_latency_rule(latency_s):
+    """Delay the first ping any server handles."""
+    return FaultRule(site=chaos.SITE_RPC_HANDLE, fault="latency",
+                     latency_s=latency_s, times=1,
+                     match={"method": "ping"})
 
 
 # ----------------------------------------------------------------------
@@ -127,73 +155,72 @@ class TestFraming:
 
 
 # ----------------------------------------------------------------------
-# Pipelining / interleaved responses
+# The server loop's contract, per role
 # ----------------------------------------------------------------------
 
 
-class TestInterleavedResponses:
-    def test_out_of_order_responses_buffered(self):
-        """Responses answered in reverse order still resolve by id."""
-        client_sock, server_sock = pair()
-        connection = RpcConnection(client_sock)
-
-        def responder():
-            first = ipc.recv_frame(server_sock)
-            second = ipc.recv_frame(server_sock)
-            ipc.send_frame(server_sock, make_response(second["id"], "late"))
-            ipc.send_frame(server_sock, make_response(first["id"], "early"))
-
-        thread = threading.Thread(target=responder)
-        thread.start()
-        first_id = connection.send_request("a", [])
-        second_id = connection.send_request("b", [])
-        assert unpack_response(connection.recv_response(first_id)) == "early"
-        assert unpack_response(connection.recv_response(second_id)) == "late"
-        thread.join()
-        connection.close()
-        server_sock.close()
-
-    def test_one_connection_is_answered_in_arrival_order(self):
+class TestArrivalOrder:
+    @pytest.mark.parametrize("role", ROLES)
+    def test_one_connection_is_answered_in_arrival_order(self, role):
         """A server runs each request to completion on its connection's
         thread: a fast request behind a slow one waits its turn."""
-        store = make_store()
-        injector = ChaosInjector(rules=[
-            FaultRule(site=chaos.SITE_RPC_HANDLE, fault="latency",
-                      latency_s=0.1, match={"method": "shard_inventory"}),
-        ])
-        with ShardServer(store, server_id=0, apply_writes=False) as server:
+        injector = ChaosInjector(rules=[ping_latency_rule(0.1)])
+        with make_server(role) as server:
             sock = socket.create_connection(server.address, timeout=5.0)
             with chaos.injected(injector):
-                ipc.send_frame(sock, make_request(1, "shard_inventory", []))
+                begin = time.monotonic()
+                ipc.send_frame(sock, make_request(1, "ping", []))
                 ipc.send_frame(sock, make_request(2, "ping", []))
                 first = ipc.recv_frame(sock)
                 second = ipc.recv_frame(sock)
+                elapsed = time.monotonic() - begin
             sock.close()
         assert (first["id"], second["id"]) == (1, 2)
-        assert len(unpack_response(first)["shards"]) == store.num_shards
-        assert unpack_response(second) == "pong"
+        assert unpack_response(first) == unpack_response(second) == "pong"
+        assert elapsed >= 0.1  # the second waited behind the first
 
-    def test_slow_request_delays_only_its_own_connection(self):
+    @pytest.mark.parametrize("role", ROLES)
+    def test_slow_request_delays_only_its_own_connection(self, role):
         """Concurrency is the number of connections: a 0.3 s stall on
         connection A costs a ping on connection B nothing."""
-        store = make_store()
-        injector = ChaosInjector(rules=[
-            FaultRule(site=chaos.SITE_RPC_HANDLE, fault="latency",
-                      latency_s=0.3, match={"method": "shard_inventory"}),
-        ])
-        with ShardServer(store, server_id=0, apply_writes=False) as server:
-            slow = RpcConnection.connect(*server.address, timeout_s=5.0)
-            fast = RpcConnection.connect(*server.address, timeout_s=5.0)
-            with chaos.injected(injector):
-                slow_id = slow.send_request("shard_inventory", [])
+        rule = ping_latency_rule(0.3)
+        with make_server(role) as server:
+            slow = socket.create_connection(server.address, timeout=5.0)
+            fast = socket.create_connection(server.address, timeout=5.0)
+            with chaos.injected(ChaosInjector(rules=[rule])):
+                ipc.send_frame(slow, make_request(1, "ping", []))
+                assert wait_until(lambda: rule.fired == 1)
                 begin = time.monotonic()
-                assert fast.call("ping", []) == "pong"
+                ipc.send_frame(fast, make_request(2, "ping", []))
+                assert unpack_response(ipc.recv_frame(fast)) == "pong"
                 fast_elapsed = time.monotonic() - begin
-                inventory = unpack_response(slow.recv_response(slow_id))
-            assert fast_elapsed < 0.3  # did not wait for the slow one
-            assert len(inventory["shards"]) == store.num_shards
+                assert unpack_response(ipc.recv_frame(slow)) == "pong"
             slow.close()
             fast.close()
+        assert fast_elapsed < 0.3  # did not wait for the slow one
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_crash_at_rpc_recv_kills_the_whole_server(self, role,
+                                                      monkeypatch):
+        """A crash rule at the server's ``rpc.recv`` is a process death,
+        like one at ``rpc.handle`` or ``rpc.send``: the listener goes
+        with the connection, and nothing escapes as a thread traceback."""
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        with make_server(role) as server:
+            injector = ChaosInjector(rules=[
+                FaultRule(site=chaos.SITE_RPC_RECV, fault="crash",
+                          match={"server": server.server_id}),
+            ])
+            with chaos.injected(injector):
+                # The connection thread's first read fires the rule.
+                sock = socket.create_connection(server.address,
+                                                timeout=5.0)
+                assert wait_until(lambda: server.stopped)
+                sock.close()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(server.address, timeout=5.0)
+        assert escaped == []
 
 
 # ----------------------------------------------------------------------
