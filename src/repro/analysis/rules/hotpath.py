@@ -36,8 +36,8 @@ BATCHED_ALTERNATIVES: Dict[str, str] = {
     "extract_until": "extract_batch with explicit lengths",
     "timestamp_at": "all_timestamps / walk_collect",
     "destination_at": "all_destinations / walk_collect",
-    "properties_at": "all_properties",
-    "edge_data_at": "walk_collect",
+    "properties_at": "edge_data_range",
+    "edge_data_at": "edge_data_range",
 }
 
 

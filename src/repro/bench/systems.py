@@ -4,7 +4,8 @@
 API* exactly the way §4.2 does: ``assoc_range`` is Algorithm 1,
 ``assoc_get``/``assoc_time_range`` are Algorithms 2/3 -- each a handful
 of lines over ``get_edge_record`` / ``get_time_range`` /
-``get_edge_data``.
+``get_edge_data``, the per-index loop read as one
+``get_edge_data_range`` call.
 """
 
 from __future__ import annotations
@@ -80,10 +81,7 @@ class ZipGSystem(GraphStoreInterface):
         # Algorithm 1: assoc_range(id, atype, idx, limit).
         record = self.store.get_edge_record(node_id, edge_type)
         end = record.edge_count if limit is None else min(record.edge_count, start_index + limit)
-        return [
-            self.store.get_edge_data(record, i, with_properties)
-            for i in range(start_index, end)
-        ]
+        return self.store.get_edge_data_range(record, start_index, end, with_properties)
 
     def edges_in_time_range(
         self,
@@ -99,10 +97,7 @@ class ZipGSystem(GraphStoreInterface):
         begin, end = self.store.get_edge_range(record, t_low, t_high)
         if limit is not None:
             end = min(end, begin + limit)
-        return [
-            self.store.get_edge_data(record, i, with_properties)
-            for i in range(begin, end)
-        ]
+        return self.store.get_edge_data_range(record, begin, end, with_properties)
 
     def assoc_get(
         self,
@@ -112,15 +107,19 @@ class ZipGSystem(GraphStoreInterface):
         t_low: Optional[int],
         t_high: Optional[int],
     ) -> List[EdgeData]:
-        # Algorithm 2: assoc_get(id1, atype, id2set, hi, lo).
+        # Algorithm 2: assoc_get(id1, atype, id2set, hi, lo). The
+        # window's destinations come from one range read; properties
+        # are fetched only for the edges that match.
         record = self.store.get_edge_record(node_id, edge_type)
         begin, end = self.store.get_edge_range(record, t_low, t_high)
-        results = []
-        for i in range(begin, end):
-            entry = self.store.get_edge_data(record, i)
-            if entry.destination in id2_set:
-                results.append(entry)
-        return results
+        window = self.store.get_edge_data_range(
+            record, begin, end, with_properties=False
+        )
+        return [
+            self.store.get_edge_data(record, begin + offset)
+            for offset, entry in enumerate(window)
+            if entry.destination in id2_set
+        ]
 
     # -- updates ----------------------------------------------------------
 

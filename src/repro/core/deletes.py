@@ -46,5 +46,10 @@ class DeletionIndex:
     def num_deleted_edges(self) -> int:
         return self._edges.count()
 
+    def deleted_edges_between(self, begin: int, end: int) -> int:
+        """Deleted edges with index in ``[begin, end)``: a rank
+        difference, O(1) once the rank directory is built."""
+        return self._edges.rank1(end) - self._edges.rank1(begin)
+
     def serialized_size_bytes(self) -> int:
         return self._nodes.serialized_size_bytes() + self._edges.serialized_size_bytes()

@@ -21,7 +21,8 @@ Reserved control bytes (never assigned as property delimiters):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import re
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.errors import GraphFormatError, TooManyProperties
 
@@ -79,6 +80,14 @@ class DelimiterMap:
             else:
                 self._delimiters.append(bytes([_POOL[index]]))
         self._order: Dict[str, int] = {pid: i for i, pid in enumerate(ordered)}
+        self._by_delimiter: Dict[bytes, str] = dict(zip(self._delimiters, ordered))
+        # Values never hold a byte below MIN_VALUE_BYTE, so a serialized
+        # field is exactly one delimiter plus the run of value bytes
+        # after it: one C-level findall splits a whole payload.
+        control = b"\\x00-\\x%02x" % (MIN_VALUE_BYTE - 1)
+        self._field = re.compile(
+            b"([%s]{%d})([^%s]*)" % (control, self.delimiter_width, control)
+        )
 
     def __len__(self) -> int:
         return len(self._ordered)
@@ -161,35 +170,26 @@ class DelimiterMap:
             raise GraphFormatError(f"unknown PropertyIDs {sorted(unknown)!r}")
         return bytes(payload)
 
+    def parse_values(self, payload: bytes) -> Dict[str, str]:
+        """Invert :meth:`serialize_values`' payload: field ``k`` is
+        PropertyID ``k``; bare delimiters (absent values) are skipped."""
+        return {
+            property_id: value.decode("utf-8")
+            for property_id, (_, value) in zip(
+                self._ordered, self._field.findall(payload)
+            )
+            if value
+        }
+
     def parse_sparse(self, payload: bytes) -> Dict[str, str]:
         """Invert :meth:`serialize_sparse`."""
-        width = self.delimiter_width
         result: Dict[str, str] = {}
-        position = 0
-        current: Optional[str] = None
-        value_start = 0
-        while position < len(payload):
-            if payload[position] < MIN_VALUE_BYTE:
-                if current is not None:
-                    result[current] = payload[value_start:position].decode("utf-8")
-                delimiter = bytes(payload[position : position + width])
-                current = self._property_for_delimiter(delimiter)
-                position += width
-                value_start = position
-            else:
-                position += 1
-        if current is not None:
-            result[current] = payload[value_start:position].decode("utf-8")
+        for delimiter, value in self._field.findall(payload):
+            property_id = self._by_delimiter.get(delimiter)
+            if property_id is None:
+                raise GraphFormatError(f"unassigned delimiter {delimiter!r}")
+            result[property_id] = value.decode("utf-8")
         return result
-
-    def _property_for_delimiter(self, delimiter: bytes) -> str:
-        if self._two_byte:
-            index = _POOL.index(delimiter[0]) * len(_POOL) + _POOL.index(delimiter[1])
-        else:
-            index = _POOL.index(delimiter[0])
-        if index >= len(self._ordered):
-            raise GraphFormatError(f"unassigned delimiter {delimiter!r}")
-        return self._ordered[index]
 
     def serialized_size_bytes(self) -> int:
         """Footprint of the PropertyID -> (order, delimiter) map itself."""

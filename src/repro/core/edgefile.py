@@ -54,6 +54,11 @@ _METADATA_PROBE_MAX = 256  # fallback for records with huge ids/counts
 _FRAGMENT_CACHE_BYTES = 200
 
 
+def _split_ints(raw: bytes, width: int, count: int) -> List[int]:
+    """The ``count`` fixed-width ASCII decimal fields packed in ``raw``."""
+    return [int(raw[k * width : (k + 1) * width]) for k in range(count)]
+
+
 @dataclass
 class EdgeRecordFragment:
     """A handle to one EdgeRecord inside one compressed EdgeFile.
@@ -112,61 +117,64 @@ class EdgeRecordFragment:
         return int(raw)
 
     def properties_at(self, time_order: int) -> Dict[str, str]:
-        self._check_order(time_order)
-        # One extract for the length fields 0..time_order (their sum is
-        # the property payload offset), one for the payload itself.
-        raw = self.edge_file._file.extract(
-            self.plens_offset, (time_order + 1) * self.plen_width
-        )
-        lengths = [
-            int(raw[k * self.plen_width : (k + 1) * self.plen_width])
-            for k in range(time_order + 1)
-        ]
-        payload = self.edge_file._file.extract(
-            self.properties_offset + sum(lengths[:-1]), lengths[-1]
-        )
-        return self.edge_file._delimiters.parse_sparse(payload)
+        return self.edge_data_at(time_order).properties
 
     def edge_data_at(self, time_order: int, with_properties: bool = True) -> EdgeData:
-        """The (destination, timestamp, PropertyList) triplet (§2.2).
-
-        The timestamp, destination and property-length fields are pulled
-        through one ``extract_batch`` call -- a single lockstep NPA walk
-        per record instead of one walk per field.
-        """
+        """The (destination, timestamp, PropertyList) triplet (§2.2)."""
         self._check_order(time_order)
+        return self.edge_data_range(time_order, time_order + 1, with_properties)[0]
+
+    def edge_data_range(
+        self, begin: int, end: int, with_properties: bool = True
+    ) -> List[EdgeData]:
+        """The EdgeData triplets at TimeOrders ``[begin, end)``.
+
+        At most two kernel calls for the whole range: one
+        ``extract_batch`` reads the timestamps, the destinations and the
+        property-length fields ``0..end`` (their prefix sum locates the
+        payloads); one ``extract`` reads the payloads, which are
+        contiguous (skipped when they are all empty).
+        """
+        if begin >= end:
+            return []
+        self._check_order(begin)
+        self._check_order(end - 1)
         file = self.edge_file._file
+        count = end - begin
+        twidth, dwidth, pwidth = (
+            self.timestamp_width, self.destination_width, self.plen_width
+        )
         requests = [
-            (
-                self.timestamps_offset + time_order * self.timestamp_width,
-                self.timestamp_width,
-            ),
-            (
-                self.destinations_offset + time_order * self.destination_width,
-                self.destination_width,
-            ),
+            (self.timestamps_offset + begin * twidth, count * twidth),
+            (self.destinations_offset + begin * dwidth, count * dwidth),
         ]
         if with_properties:
-            requests.append(
-                (self.plens_offset, (time_order + 1) * self.plen_width)
-            )
-            raw_ts, raw_dst, raw_plens = file.extract_batch(requests)
-            lengths = [
-                int(raw_plens[k * self.plen_width : (k + 1) * self.plen_width])
-                for k in range(time_order + 1)
+            requests.append((self.plens_offset, end * pwidth))
+        raw = file.extract_batch(requests)
+        timestamps = _split_ints(raw[0], twidth, count)
+        destinations = _split_ints(raw[1], dwidth, count)
+        if not with_properties:
+            return [
+                EdgeData(destination=d, timestamp=t, properties={})
+                for d, t in zip(destinations, timestamps)
             ]
-            payload = file.extract(
-                self.properties_offset + sum(lengths[:-1]), lengths[-1]
-            )
-            properties = self.edge_file._delimiters.parse_sparse(payload)
-        else:
-            raw_ts, raw_dst = file.extract_batch(requests)
-            properties = {}
-        return EdgeData(
-            destination=int(raw_dst),
-            timestamp=int(raw_ts),
-            properties=properties,
-        )
+        lengths = _split_ints(raw[2], pwidth, end)
+        skipped = sum(lengths[:begin])
+        size = sum(lengths) - skipped
+        payload = file.extract(self.properties_offset + skipped, size) if size else b""
+        parse = self.edge_file._delimiters.parse_sparse
+        out = []
+        cursor = 0
+        for destination, timestamp, length in zip(
+            destinations, timestamps, lengths[begin:]
+        ):
+            out.append(EdgeData(
+                destination=destination,
+                timestamp=timestamp,
+                properties=parse(payload[cursor : cursor + length]),
+            ))
+            cursor += length
+        return out
 
     def time_range(self, t_low: Optional[int], t_high: Optional[int]) -> Tuple[int, int]:
         """TimeOrder range ``[begin, end)`` of edges with timestamp in
@@ -195,46 +203,14 @@ class EdgeRecordFragment:
         raw = self.edge_file._file.extract(
             self.destinations_offset, self.edge_count * self.destination_width
         )
-        width = self.destination_width
-        return [
-            int(raw[k * width : (k + 1) * width]) for k in range(self.edge_count)
-        ]
+        return _split_ints(raw, self.destination_width, self.edge_count)
 
     def all_timestamps(self) -> List[int]:
         """All timestamps in time order (one sequential extract)."""
         raw = self.edge_file._file.extract(
             self.timestamps_offset, self.edge_count * self.timestamp_width
         )
-        width = self.timestamp_width
-        return [
-            int(raw[k * width : (k + 1) * width]) for k in range(self.edge_count)
-        ]
-
-    def all_properties(self) -> List[Dict[str, str]]:
-        """Property lists of every edge in time order.
-
-        One extract covers all the length fields and one
-        ``extract_batch`` covers all the payloads -- two lockstep NPA
-        walks for the whole record, versus one pair of walks per edge
-        when calling :meth:`properties_at` in a loop.
-        """
-        if self.edge_count == 0:
-            return []
-        raw = self.edge_file._file.extract(
-            self.plens_offset, self.edge_count * self.plen_width
-        )
-        width = self.plen_width
-        lengths = [
-            int(raw[k * width : (k + 1) * width]) for k in range(self.edge_count)
-        ]
-        offsets: List[int] = []
-        cursor = self.properties_offset
-        for length in lengths:
-            offsets.append(cursor)
-            cursor += length
-        payloads = self.edge_file._file.extract_batch(list(zip(offsets, lengths)))
-        parse = self.edge_file._delimiters.parse_sparse
-        return [parse(payload) for payload in payloads]
+        return _split_ints(raw, self.timestamp_width, self.edge_count)
 
 
 class EdgeFile:

@@ -55,13 +55,27 @@ class LogEdgeFragment:
         return dict(self._edges[time_order].properties)
 
     def edge_data_at(self, time_order: int, with_properties: bool = True) -> EdgeData:
-        edge = self._edges[time_order]
+        return self.edge_data_range(time_order, time_order + 1, with_properties)[0]
+
+    def edge_data_range(
+        self, begin: int, end: int, with_properties: bool = True
+    ) -> List[EdgeData]:
+        """EdgeData at TimeOrders ``[begin, end)`` (one metered touch)."""
+        if begin >= end:
+            return []
+        if begin < 0 or end > len(self._edges):
+            raise IndexError(
+                f"TimeOrders [{begin}, {end}) out of range [0, {len(self._edges)})"
+            )
         self._store.stats.random_accesses += 1
-        return EdgeData(
-            destination=edge.destination,
-            timestamp=edge.timestamp,
-            properties=dict(edge.properties) if with_properties else {},
-        )
+        return [
+            EdgeData(
+                destination=edge.destination,
+                timestamp=edge.timestamp,
+                properties=dict(edge.properties) if with_properties else {},
+            )
+            for edge in self._edges[begin:end]
+        ]
 
     def time_range(self, t_low: Optional[int], t_high: Optional[int]) -> Tuple[int, int]:
         timestamps = [edge.timestamp for edge in self._edges]

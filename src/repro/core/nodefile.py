@@ -28,7 +28,8 @@ from __future__ import annotations
 
 # zipg: hot-path
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+import bisect
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,6 +102,8 @@ class NodeFile:
         self._cache = None
         self._cache_epoch_of = None
         self._cache_tag = new_cache_tag()
+        # Query-time directory mirror (never built at load).
+        self._node_id_list_cache: Optional[list] = None
 
     # ------------------------------------------------------------------
     # Hot-set cache (repro.perf)
@@ -131,9 +134,18 @@ class NodeFile:
     def __len__(self) -> int:
         return len(self._node_ids)
 
+    @property
+    def _node_id_list(self) -> list:
+        """Plain-int mirror of the sorted NodeIDs, built on first use:
+        a ``bisect`` on it beats ``np.searchsorted`` on one value."""
+        if self._node_id_list_cache is None:
+            self._node_id_list_cache = self._node_ids.tolist()
+        return self._node_id_list_cache
+
     def __contains__(self, node_id: int) -> bool:
-        index = int(np.searchsorted(self._node_ids, node_id))
-        return index < len(self._node_ids) and self._node_ids[index] == node_id
+        ids = self._node_id_list
+        index = bisect.bisect_left(ids, node_id)
+        return index < len(ids) and ids[index] == node_id
 
     def node_ids(self) -> np.ndarray:
         return self._node_ids.copy()
@@ -141,14 +153,21 @@ class NodeFile:
     def node_index(self, node_id: int) -> int:
         """Position of ``node_id`` in the sorted NodeID array (also its
         position in the shard's node deletion bitmap)."""
-        index = int(np.searchsorted(self._node_ids, node_id))
-        if index >= len(self._node_ids) or self._node_ids[index] != node_id:
+        ids = self._node_id_list
+        index = bisect.bisect_left(ids, node_id)
+        if index >= len(ids) or ids[index] != node_id:
             raise NodeNotFound(node_id)
         return index
 
-    def _record_offset(self, node_id: int) -> int:
+    def _record_span(self, node_id: int) -> Tuple[int, int]:
+        """``(start, end)`` of the node's record without its EOR byte:
+        the next record's offset (or the file end) bounds it."""
         self.stats.random_accesses += 1  # NodeID -> offset array lookup
-        return int(self._offsets[self.node_index(node_id)])
+        index = self.node_index(node_id)
+        start = int(self._offsets[index])
+        if index + 1 < len(self._offsets):
+            return start, int(self._offsets[index + 1]) - 1
+        return start, len(self._file) - 1
 
     def _offset_to_node(self, offset: int) -> int:
         index = int(np.searchsorted(self._offsets, offset, side="right")) - 1
@@ -161,7 +180,7 @@ class NodeFile:
     # zipg: layout-parser[node-record]
     def get_property(self, node_id: int, property_id: str) -> Optional[str]:
         """Value of one property for ``node_id`` (None if unset)."""
-        record = self._record_offset(node_id)
+        record, _ = self._record_span(node_id)
         order = self._delimiters.order_of(property_id)
         width = self._len_width
         # One extract for the length fields up to and including ours...
@@ -186,10 +205,11 @@ class NodeFile:
     ) -> PropertyList:
         """PropertyList of ``node_id`` (all properties, or a subset).
 
-        The subset path reads the whole length-field block once and then
-        fetches every requested value through one ``extract_batch`` call
-        (a single lockstep NPA walk), instead of two extracts per
-        property.
+        The wildcard path reads the whole record with one ``extract``
+        (its end is the next record's offset). The subset path reads the
+        length-field block once and then fetches every requested value
+        through one ``extract_batch`` call (a single lockstep NPA walk),
+        instead of two extracts per property.
         """
         cache = self._cache
         if cache is None:
@@ -208,46 +228,42 @@ class NodeFile:
         self, node_id: int, property_ids: Optional[List[str]] = None
     ) -> PropertyList:
         """The pre-cache ``get_properties`` body."""
-        record = self._record_offset(node_id)
         width = self._len_width
         count = len(self._delimiters)
+        if property_ids is None:
+            # Wildcard: the record's payload in one extract (it runs from
+            # past the fixed-size length fields to the record's end) split
+            # on its delimiters; a bare delimiter is an absent value
+            # (Fig. 1), so the length fields need not be read.
+            start, end = self._record_span(node_id)
+            payload_start = start + count * width
+            return self._delimiters.parse_values(
+                self._file.extract(payload_start, end - payload_start)
+            )
+        record, _ = self._record_span(node_id)
         length_bytes = self._file.extract(record, count * width)
         lengths = [int(length_bytes[k * width : (k + 1) * width]) for k in range(count)]
-        if property_ids is not None:
-            payload_start = record + count * width
-            delim_width = self._delimiters.delimiter_width
-            prefix = [0]
-            for length in lengths:
-                prefix.append(prefix[-1] + length)
-            wanted = []
-            requests = []
-            for property_id in property_ids:
-                order = self._delimiters.order_of(property_id)
-                if lengths[order] == 0:
-                    continue
-                value_start = (
-                    payload_start + prefix[order] + (order + 1) * delim_width
-                )
-                wanted.append(property_id)
-                requests.append((value_start, lengths[order]))
-            values = self._file.extract_batch(requests)
-            return {
-                property_id: value.decode("utf-8")
-                for property_id, value in zip(wanted, values)
-            }
-        payload_size = sum(lengths) + count * self._delimiters.delimiter_width
-        payload = self._file.extract(record + count * width, payload_size)
-        # Decode using the length fields: zero-length means absent (a
-        # bare delimiter, Fig. 1), so no value-vs-empty ambiguity.
+        payload_start = record + count * width
         delim_width = self._delimiters.delimiter_width
-        result: PropertyList = {}
-        position = 0
-        for property_id, length in zip(self._delimiters.property_ids(), lengths):
-            position += delim_width
-            if length:
-                result[property_id] = payload[position : position + length].decode("utf-8")
-            position += length
-        return result
+        prefix = [0]
+        for length in lengths:
+            prefix.append(prefix[-1] + length)
+        wanted = []
+        requests = []
+        for property_id in property_ids:
+            order = self._delimiters.order_of(property_id)
+            if lengths[order] == 0:
+                continue
+            value_start = (
+                payload_start + prefix[order] + (order + 1) * delim_width
+            )
+            wanted.append(property_id)
+            requests.append((value_start, lengths[order]))
+        values = self._file.extract_batch(requests)
+        return {
+            property_id: value.decode("utf-8")
+            for property_id, value in zip(wanted, values)
+        }
 
     @obs.traced("nodefile.find_nodes", layer="nodefile")
     def find_nodes(self, properties: PropertyList) -> List[int]:

@@ -53,6 +53,11 @@ class ShardEdgeFragment:
     def edge_data_at(self, time_order: int, with_properties: bool = True) -> EdgeData:
         return self._fragment.edge_data_at(time_order, with_properties)
 
+    def edge_data_range(
+        self, begin: int, end: int, with_properties: bool = True
+    ) -> List[EdgeData]:
+        return self._fragment.edge_data_range(begin, end, with_properties)
+
     def time_range(self, t_low: Optional[int], t_high: Optional[int]) -> Tuple[int, int]:
         return self._fragment.time_range(t_low, t_high)
 
@@ -69,10 +74,8 @@ class ShardEdgeFragment:
 
     def deleted_count(self) -> int:
         base = self._fragment.base_edge_index
-        return sum(
-            1
-            for i in range(self._fragment.edge_count)
-            if self._shard.deletions.edge_deleted(base + i)
+        return self._shard.deletions.deleted_edges_between(
+            base, base + self._fragment.edge_count
         )
 
     def mark_deleted(self, time_order: int) -> None:
@@ -316,22 +319,16 @@ class CompressedShard:
         edges: Dict[Tuple[int, int], List[Edge]] = {}
         for offset in self.edge_file._record_offsets.tolist():
             fragment = self.edge_file._parse_record_at(int(offset))
-            # One sequential extract per column instead of per-edge
+            # One range read for the whole record instead of per-edge
             # random accesses (the batched decode path).
-            destinations = fragment.all_destinations()
-            timestamps = fragment.all_timestamps()
-            properties = fragment.all_properties()
-            live: List[Edge] = []
-            for order in range(fragment.edge_count):
-                if self.deletions.edge_deleted(fragment.base_edge_index + order):
-                    continue
-                live.append(Edge(
-                    fragment.source,
-                    destinations[order],
-                    fragment.edge_type,
-                    timestamps[order],
-                    properties[order],
-                ))
+            live: List[Edge] = [
+                Edge(fragment.source, data.destination, fragment.edge_type,
+                     data.timestamp, data.properties)
+                for order, data in enumerate(
+                    fragment.edge_data_range(0, fragment.edge_count)
+                )
+                if not self.deletions.edge_deleted(fragment.base_edge_index + order)
+            ]
             if live:
                 edges[(fragment.source, fragment.edge_type)] = live
         return nodes, edges

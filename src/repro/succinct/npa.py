@@ -53,9 +53,9 @@ class NextPointerArray:
         # query, never at construction: an mmap-backed load must stay
         # O(1) and not fault the NPA pages (docs/STORAGE.md).
         self._npa_list_cache: list | None = None
-        self._bucket_starts_list_cache: list | None = None
-        self._bucket_chars_list_cache: list | None = None
+        self._bucket_table_cache: list | None = None
         self._row_chars_cache: np.ndarray | None = None
+        self._row_char_bytes_cache: bytes | None = None
         # Hop-doubling tables (npa^1, npa^2, npa^4, ...), built lazily by
         # the batched kernels: expanding anchors to `steps` consecutive
         # positions then costs O(log steps) gathers, not O(steps).
@@ -71,16 +71,20 @@ class NextPointerArray:
         return self._npa_list_cache
 
     @property
-    def _bucket_starts_list(self) -> list:
-        if self._bucket_starts_list_cache is None:
-            self._bucket_starts_list_cache = self._bucket_starts.tolist()
-        return self._bucket_starts_list_cache
-
-    @property
-    def _bucket_chars_list(self) -> list:
-        if self._bucket_chars_list_cache is None:
-            self._bucket_chars_list_cache = self._bucket_chars.tolist()
-        return self._bucket_chars_list_cache
+    def _bucket_table(self) -> list:
+        """Byte value -> ``(start, end)`` bucket rows, ``(0, 0)`` for
+        bytes absent from the text: one list index per backward-search
+        step instead of a ``searchsorted`` on the bucket directory."""
+        if self._bucket_table_cache is None:
+            table = [(0, 0)] * 256
+            for char, start, end in zip(
+                self._bucket_chars.tolist(),
+                self._bucket_starts.tolist(),
+                self._bucket_ends.tolist(),
+            ):
+                table[char] = (start, end)
+            self._bucket_table_cache = table
+        return self._bucket_table_cache
 
     @property
     def _row_chars(self) -> np.ndarray:
@@ -91,6 +95,14 @@ class NextPointerArray:
                 self._bucket_chars, self._bucket_ends - self._bucket_starts
             )
         return self._row_chars_cache
+
+    @property
+    def row_char_bytes(self) -> bytes:
+        """:attr:`_row_chars` as ``bytes`` for the scalar loops: indexing
+        it yields the row's first byte as a plain int."""
+        if self._row_char_bytes_cache is None:
+            self._row_char_bytes_cache = self._row_chars.tobytes()  # zipg: owned-copy
+        return self._row_char_bytes_cache
 
     @classmethod
     def from_text(cls, data: bytes, suffix_array: np.ndarray, isa: np.ndarray) -> "NextPointerArray":
@@ -137,8 +149,7 @@ class NextPointerArray:
 
     def char_of_row(self, row: int) -> int:
         """First character (byte value) of the suffix at ``row``."""
-        bucket = bisect.bisect_right(self._bucket_starts_list, row) - 1
-        return self._bucket_chars_list[bucket]
+        return self.row_char_bytes[row]
 
     # ------------------------------------------------------------------
     # Vectorized query kernels: advance many rows in lockstep via
@@ -231,10 +242,7 @@ class NextPointerArray:
 
         Returns ``(0, 0)`` if the character does not occur in the text.
         """
-        index = int(np.searchsorted(self._bucket_chars, char))
-        if index >= len(self._bucket_chars) or self._bucket_chars[index] != char:
-            return (0, 0)
-        return (int(self._bucket_starts[index]), int(self._bucket_ends[index]))
+        return self._bucket_table[char]
 
     def refine_backward(self, char: int, low: int, high: int) -> tuple:
         """One step of backward search.
@@ -242,15 +250,17 @@ class NextPointerArray:
         Given the row range ``[low, high)`` of suffixes starting with a
         pattern ``P``, return the row range of suffixes starting with
         ``char + P``. Relies on the NPA being strictly increasing within
-        each character bucket.
+        each character bucket, so both bounds are a bisect on the plain
+        NPA mirror restricted to the bucket's rows.
         """
-        start, end = self.bucket_range(char)
+        start, end = self._bucket_table[char]
         if start == end:
             return (0, 0)
-        segment = self._npa[start:end]
-        new_low = start + int(np.searchsorted(segment, low, side="left"))
-        new_high = start + int(np.searchsorted(segment, high, side="left"))
-        return (new_low, new_high)
+        npa = self._npa_list
+        return (
+            bisect.bisect_left(npa, low, start, end),
+            bisect.bisect_left(npa, high, start, end),
+        )
 
     def serialized_size_bytes(self, anchor_every: int = 128) -> int:
         """Size of the two-level delta-encoded NPA plus bucket directory."""

@@ -37,13 +37,17 @@ if TYPE_CHECKING:
 
 SENTINEL = 0  # terminal byte appended to every file; may not occur in input
 
-# Below this many bytes the numpy kernel's fixed setup cost loses to the
-# plain Python loop, so ``extract`` falls back to the scalar path.
-_SCALAR_EXTRACT_CUTOFF = 8
+# Up to this many bytes the plain Python loop over the list/bytes
+# mirrors beats the numpy kernel's fixed setup cost (~8 us), so
+# ``extract`` and a small ``extract_batch`` decode scalar. Measured
+# crossover on a 256 KiB TAO-property corpus at alpha 32 (2-vCPU x86):
+# scalar 6.5 us vs batched 7.9 us at 48 bytes, 8.5 vs 8.0 at 64.
+_SCALAR_EXTRACT_CUTOFF = 56
 
 # Same trade-off for ``search``: resolving only a handful of matching
-# rows is cheaper with per-row scalar walks than one batched kernel.
-_SCALAR_SEARCH_CUTOFF = 8
+# rows is cheaper with per-row scalar walks than one batched kernel
+# (same corpus: 29 vs 38 us at 8 rows, 47 vs 39 us at 12).
+_SCALAR_SEARCH_CUTOFF = 10
 
 
 class SuccinctFile:
@@ -160,15 +164,21 @@ class SuccinctFile:
 
     # zipg: scalar-ok  (the scalar primitive the batched kernels amortize)
     def _lookup_sa(self, row: int) -> int:
-        """SA value of ``row`` via NPA walk to the nearest sampled row."""
+        """SA value of ``row`` via NPA walk to the nearest sampled row.
+
+        Runs on the plain-int mirrors (mark words, NPA list): each hop
+        is one list index and one bit test on a Python int.
+        """
+        marks = self._sampled_row_marks
+        words = marks.word_list
+        npa_list = self._npa._npa_list
         steps = 0
         current = row
-        while not self._sampled_row_marks[current]:
-            current = self._npa[current]
+        while not words[current >> 6] >> (current & 63) & 1:
+            current = npa_list[current]
             steps += 1
         self.stats.npa_hops += steps
-        rank = self._sampled_row_marks.rank1(current)
-        value = int(self._sa_samples[rank])
+        value = int(self._sa_samples[marks.rank1(current)])
         return (value - steps) % self._n
 
     # zipg: scalar-ok  (at most alpha hops to the sampled anchor)
@@ -261,14 +271,13 @@ class SuccinctFile:
     # zipg: scalar-ok  (the reference body behind the scalar cutoff)
     def _extract_scalar_body(self, offset: int, length: int) -> bytes:
         row = self._lookup_isa(offset)
-        # Hot path: bind the NPA internals locally (one attribute
-        # lookup per extracted byte otherwise dominates).
+        # Hot path: bind the plain mirrors locally; each byte is then
+        # two list/bytes indexes and no call.
         npa_list = self._npa._npa_list
-        char_of_row = self._npa.char_of_row
-        out = bytearray()
-        append = out.append
-        for _ in range(length):
-            append(char_of_row(row))
+        row_chars = self._npa.row_char_bytes
+        out = bytearray(length)
+        for index in range(length):
+            out[index] = row_chars[row]
             row = npa_list[row]
         self.stats.npa_hops += length
         return bytes(out)  # zipg: owned-copy
@@ -333,15 +342,18 @@ class SuccinctFile:
         return results
 
     def _extract_batch_uncached(self, clean: Sequence[Tuple[int, int]]) -> List[bytes]:
-        """The pre-cache ``extract_batch`` body (lengths already checked)."""
+        """The pre-cache ``extract_batch`` body (lengths already
+        checked): one lockstep walk over every non-empty request, or
+        scalar decodes when the whole batch is below the extract
+        cutoff."""
         self.stats.random_accesses += len(clean)
-        self.stats.sequential_bytes += sum(length for _, length in clean)
-        return self._extract_batch_kernel(clean)
-
-    def _extract_batch_kernel(self, clean: Sequence[Tuple[int, int]]) -> List[bytes]:
-        """One lockstep walk over every non-empty request (no access
-        accounting: callers meter themselves, so the coalescer can
-        route through here without double counting)."""
+        total = sum(length for _, length in clean)
+        self.stats.sequential_bytes += total
+        if total <= _SCALAR_EXTRACT_CUTOFF:
+            return [
+                self._extract_scalar_body(offset, length) if length else b""
+                for offset, length in clean
+            ]
         results: List[bytes] = [b""] * len(clean)
         segments = []
         spans = []  # (result slot, anchor offset in the big row array, head, length)
@@ -419,11 +431,11 @@ class SuccinctFile:
         # Same hot-path local binding as the scalar extract body: one
         # attribute lookup per byte otherwise dominates.
         npa_list = self._npa._npa_list
-        char_of_row = self._npa.char_of_row
+        row_chars = self._npa.row_char_bytes
         out = bytearray()
         append = out.append
         for _ in range(remaining):
-            char = char_of_row(row)
+            char = row_chars[row]
             if char == terminator:
                 break
             append(char)

@@ -132,7 +132,7 @@ class TestHotPathRules:
     def test_per_record_accessor_flagged_with_alternative(self):
         found = findings_for("hotpath_violation.py", ["HOT002"])
         assert len(found) == 1
-        assert "all_properties" in found[0].message
+        assert "edge_data_range" in found[0].message
 
     def test_inline_ignore_suppresses(self):
         path = fixture("hotpath_violation.py")
