@@ -11,7 +11,6 @@ from conftest import EXTRA_PROPERTY_IDS
 
 from repro.bench.datasets import build_dataset
 from repro.bench.reporting import format_table
-from repro.bench.systems import ZipGSystem
 from repro.core import ZipG
 from repro.workloads import LinkBenchWorkload
 
@@ -26,10 +25,9 @@ def prepare_store():
         logstore_threshold_bytes=8000,
         extra_property_ids=list(EXTRA_PROPERTY_IDS),
     )
-    system = ZipGSystem(store)
     workload = LinkBenchWorkload(graph, seed=5)
     for operation in workload.operations(2500):  # fragment the store
-        operation.run(system)
+        operation.run(store)
     return store, graph
 
 

@@ -11,7 +11,6 @@ from conftest import EXTRA_PROPERTY_IDS
 
 from repro.bench.datasets import build_dataset
 from repro.bench.reporting import format_table
-from repro.bench.systems import ZipGSystem
 from repro.core import ZipG
 from repro.core.logstore import LogStore
 from repro.workloads import LinkBenchWorkload
@@ -28,10 +27,9 @@ def test_ablation_single_vs_per_shard_logstore(benchmark):
             logstore_threshold_bytes=1 << 30,  # never freeze: observe raw load
             extra_property_ids=list(EXTRA_PROPERTY_IDS),
         )
-        system = ZipGSystem(store)
         workload = LinkBenchWorkload(graph, seed=12)
         for operation in workload.operations(WRITE_OPS):
-            operation.run(system)
+            operation.run(store)
         # Mirror the accumulated writes into hypothetical per-shard
         # LogStores to see how load would distribute.
         per_shard = [LogStore() for _ in range(NUM_SHARDS)]

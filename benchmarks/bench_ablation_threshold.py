@@ -11,7 +11,6 @@ from conftest import COST_MODEL, EXTRA_PROPERTY_IDS
 from repro.bench.datasets import build_dataset
 from repro.bench.harness import run_mixed_workload
 from repro.bench.reporting import format_table
-from repro.bench.systems import ZipGSystem
 from repro.core import ZipG
 from repro.workloads import LinkBenchWorkload
 
@@ -27,12 +26,11 @@ def run_threshold(threshold):
         logstore_threshold_bytes=threshold,
         extra_property_ids=list(EXTRA_PROPERTY_IDS),
     )
-    system = ZipGSystem(store)
     for operation in LinkBenchWorkload(graph, seed=8).operations(WRITE_OPS):
-        operation.run(system)
+        operation.run(store)
     fragments = [store.node_fragment_count(n) for n in graph.node_ids()]
     read_result = run_mixed_workload(
-        system,
+        store,
         LinkBenchWorkload(graph, seed=9).operations(READ_OPS),
         COST_MODEL,
         budget_bytes=10 * store.storage_footprint_bytes(),

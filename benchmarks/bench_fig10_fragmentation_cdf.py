@@ -14,7 +14,6 @@ from conftest import EXTRA_PROPERTY_IDS
 
 from repro.bench.datasets import build_dataset
 from repro.bench.reporting import format_table
-from repro.bench.systems import ZipGSystem
 from repro.core import ZipG
 from repro.workloads import LinkBenchWorkload
 
@@ -30,14 +29,13 @@ def run_fragmentation():
         logstore_threshold_bytes=LOGSTORE_THRESHOLD,
         extra_property_ids=list(EXTRA_PROPERTY_IDS),
     )
-    system = ZipGSystem(store)
     workload = LinkBenchWorkload(graph, seed=3)
     node_ids = graph.node_ids()
     snapshots = {}
     executed = 0
     for target in SNAPSHOT_OPS:
         for operation in workload.operations(target - executed):
-            operation.run(system)
+            operation.run(store)
         executed = target
         counts = np.array([store.node_fragment_count(n) for n in node_ids])
         snapshots[target] = counts

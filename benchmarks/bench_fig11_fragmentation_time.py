@@ -9,7 +9,6 @@ from conftest import EXTRA_PROPERTY_IDS
 
 from repro.bench.datasets import build_dataset
 from repro.bench.reporting import format_table
-from repro.bench.systems import ZipGSystem
 from repro.core import ZipG
 from repro.workloads import LinkBenchWorkload
 
@@ -25,13 +24,12 @@ def run_timeline():
         logstore_threshold_bytes=5000,
         extra_property_ids=list(EXTRA_PROPERTY_IDS),
     )
-    system = ZipGSystem(store)
     workload = LinkBenchWorkload(graph, seed=9)
     node_ids = graph.node_ids()
     timeline = []
     for checkpoint in range(1, CHECKPOINTS + 1):
         for operation in workload.operations(OPS_PER_CHECKPOINT):
-            operation.run(system)
+            operation.run(store)
         counts = np.array([store.node_fragment_count(n) for n in node_ids])
         timeline.append(
             (checkpoint * OPS_PER_CHECKPOINT, float(counts.mean()), int(counts.max()))

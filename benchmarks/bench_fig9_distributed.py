@@ -21,7 +21,7 @@ from conftest import (
 from repro.bench.datasets import build_dataset
 from repro.bench.harness import run_mixed_workload
 from repro.bench.reporting import format_table
-from repro.cluster import TitanCluster, ZipGCluster, run_distributed_workload
+from repro.cluster.sim import SimulatedZipGCluster, TitanCluster, run_distributed_workload
 from repro.core import ZipG
 
 NUM_SERVERS = 10
@@ -36,7 +36,7 @@ def build_zipg_cluster(dataset_name):
         graph, num_shards=NUM_SERVERS * 2, alpha=32,
         extra_property_ids=list(EXTRA_PROPERTY_IDS),
     )
-    return ZipGCluster(store, NUM_SERVERS)
+    return SimulatedZipGCluster(store, NUM_SERVERS)
 
 
 def cluster_budget(dataset_name) -> int:

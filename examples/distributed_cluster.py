@@ -14,7 +14,7 @@ import numpy as np
 from repro.bench.harness import run_mixed_workload
 from repro.bench.memory_model import CostModel
 from repro.bench.systems import ZipGSystem
-from repro.cluster import ZipGCluster, run_distributed_workload
+from repro.cluster.sim import SimulatedZipGCluster, run_distributed_workload
 from repro.core import ZipG
 from repro.workloads import TAOWorkload
 from repro.workloads.graphs import social_graph
@@ -34,7 +34,7 @@ def main() -> None:
 
     store = ZipG.compress(graph, num_shards=NUM_SERVERS * 2, alpha=32,
                           extra_property_ids=extra)
-    cluster = ZipGCluster(store, NUM_SERVERS)
+    cluster = SimulatedZipGCluster(store, NUM_SERVERS)
     print(f"cluster: {NUM_SERVERS} servers x {CORES_PER_SERVER} cores, "
           f"{store.num_shards} shards (2 per server), "
           f"LogStore on server {cluster.logstore_server}\n")

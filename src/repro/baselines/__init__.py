@@ -10,16 +10,15 @@
   ``compressed=True`` models Titan with LZ4 SSTable block compression
   (zlib here).
 
-Both implement :class:`~repro.baselines.interface.GraphStoreInterface`,
+Both implement :class:`~repro.core.interface.GraphStoreInterface`,
 the common query surface the workloads drive, and both meter their
 storage touches through the shared
 :class:`~repro.succinct.stats.AccessStats` so the benchmark memory
 model can price their queries identically to ZipG's.
 """
 
-from repro.baselines.interface import GraphStoreInterface
 from repro.baselines.kvgraph import KVGraphStore
 from repro.baselines.lsm import LSMStore
 from repro.baselines.pointerstore import PointerGraphStore
 
-__all__ = ["GraphStoreInterface", "KVGraphStore", "LSMStore", "PointerGraphStore"]
+__all__ = ["KVGraphStore", "LSMStore", "PointerGraphStore"]

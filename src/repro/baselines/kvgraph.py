@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.baselines.interface import GraphStoreInterface
 from repro.baselines.lsm import LSMStore
+from repro.core.interface import GraphStoreInterface
 from repro.core.model import EdgeData, GraphData, PropertyList
 from repro.succinct.coding import varint_decode, varint_encode
 from repro.succinct.stats import AccessStats

@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.baselines.interface import GraphStoreInterface
+from repro.core.interface import GraphStoreInterface
 from repro.core.model import EdgeData, GraphData, PropertyList
 from repro.succinct.stats import AccessStats
 from repro.workloads.properties import INDEXED_PROPERTY_IDS

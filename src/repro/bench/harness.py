@@ -97,11 +97,11 @@ def run_mixed_workload(
     footprint = system.storage_footprint_bytes()
     hit = hit_fraction(footprint, budget_bytes)
 
-    # Per-layer attribution: ZipG-backed systems expose a monotone
-    # snapshot (succinct/logstore/pointer ops + traced time); diffing
-    # two snapshots isolates this workload's share. Baselines report
-    # no layers.
-    store = getattr(system, "store", None)
+    # Per-layer attribution: ZipG stores (bare or behind a cluster)
+    # expose a monotone snapshot (succinct/logstore/pointer ops +
+    # traced time); diffing two snapshots isolates this workload's
+    # share. Baselines report no layers.
+    store = getattr(system, "store", system)
     snapshot_metrics = getattr(store, "snapshot_metrics", None)
     layers_before = snapshot_metrics()["layers"] if snapshot_metrics else None
 

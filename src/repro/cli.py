@@ -49,8 +49,8 @@ import repro
 from repro.bench.datasets import DATASETS, build_dataset, memory_budget_bytes
 from repro.bench.harness import run_mixed_workload
 from repro.bench.memory_model import CostModel
-from repro.bench.systems import SYSTEMS, ZipGSystem, build_system
-from repro.core import GraphData
+from repro.bench.systems import SYSTEMS, build_system
+from repro.core import GraphData, ZipG
 from repro.query import QueryEngine
 from repro.workloads import GraphSearchWorkload, LinkBenchWorkload, TAOWorkload
 
@@ -224,8 +224,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_query(args) -> int:
     graph = _load_graph_file(args.file)
-    system = ZipGSystem.load(graph, num_shards=args.shards, alpha=args.alpha)
-    engine = QueryEngine(system, graph.node_ids())
+    store = ZipG.compress(graph, num_shards=args.shards, alpha=args.alpha)
+    engine = QueryEngine(store, graph.node_ids())
     result = engine.execute(args.zipql)
     print("\t".join(result.columns))
     for row in result:
@@ -269,9 +269,7 @@ def _cmd_ec_encode(args) -> int:
     from repro.ec import ErasureCodedSnapshots
 
     graph = _load_graph_file(args.file)
-    store = ZipGSystem.load(
-        graph, num_shards=args.shards, alpha=args.alpha
-    ).store
+    store = ZipG.compress(graph, num_shards=args.shards, alpha=args.alpha)
     snapshot_root = os.path.join(args.ec_root, "snapshot")
     save_store(store, snapshot_root)
     snaps = ErasureCodedSnapshots.encode_snapshot(
@@ -333,9 +331,7 @@ def _cmd_serve_shard(args) -> int:
               f"mmap_bytes={store.mapped_bytes}", flush=True)
     else:
         graph = _load_graph_file(args.file)
-        store = ZipGSystem.load(
-            graph, num_shards=args.shards, alpha=args.alpha
-        ).store
+        store = ZipG.compress(graph, num_shards=args.shards, alpha=args.alpha)
     if args.ec_dir:
         from repro.ec import FragmentStore
 
@@ -362,9 +358,7 @@ def _cmd_serve_master(args) -> int:
     missing = [s for s in range(num_servers) if s not in addresses]
     if missing:
         raise SystemExit(f"missing --shard entries for servers {missing}")
-    store = ZipGSystem.load(
-        graph, num_shards=args.shards, alpha=args.alpha
-    ).store
+    store = ZipG.compress(graph, num_shards=args.shards, alpha=args.alpha)
     ec_snapshots = None
     if args.placement == "ec":
         from repro.ec import ErasureCodedSnapshots

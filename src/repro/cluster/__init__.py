@@ -1,11 +1,14 @@
-"""Distributed-cluster simulation (§4.1, Figure 4, Figure 9).
+"""The serving ZipG cluster (§4.1, Figure 4).
 
-Shards are placed on simulated servers; every query is attributed to
-the exact set of servers whose storage it touched (each shard carries
-its own access meter), function shipping is modeled as one parallel
-RPC fan-out per remote step, and throughput accounts for per-server
-load imbalance -- which is how LinkBench's hot-node skew turns into
-Figure 9(b)'s sublinear scaling.
+Shards are placed on servers (:class:`ZipGCluster`), replicated or
+erasure-coded with failover and replicated writes
+(:class:`ReplicatedZipGCluster`), and neighbourhood queries can run as
+explicit multi-level function shipping
+(:class:`FunctionShippingAggregator`).
+
+The Figure 9 simulator -- per-server busy time, ``run_operation`` and
+the Titan cluster it is compared with -- is :mod:`repro.cluster.sim`;
+it depends on the benchmark package, so it is not imported here.
 """
 
 from repro.cluster.aggregator import (
@@ -13,13 +16,7 @@ from repro.cluster.aggregator import (
     ShippingLevel,
     ShippingTrace,
 )
-from repro.cluster.cluster import (
-    DistributedResult,
-    Server,
-    TitanCluster,
-    ZipGCluster,
-    run_distributed_workload,
-)
+from repro.cluster.cluster import ZipGCluster
 from repro.cluster.replication import (
     PartialResult,
     ReplicatedZipGCluster,
@@ -28,16 +25,12 @@ from repro.cluster.replication import (
 )
 
 __all__ = [
-    "DistributedResult",
     "FunctionShippingAggregator",
     "PartialResult",
     "ReplicatedZipGCluster",
-    "Server",
     "ShardError",
     "ShardUnavailable",
     "ShippingLevel",
     "ShippingTrace",
-    "TitanCluster",
     "ZipGCluster",
-    "run_distributed_workload",
 ]

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import bisect
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type, TypeVar, Union
 
 from repro import obs
 from repro.core.delimiters import DelimiterMap
 from repro.core.errors import NodeNotFound
 from repro.core.executor import ShardExecutor
+from repro.core.interface import GraphStoreInterface
 from repro.core.logstore import LogStore
 from repro.core.model import Edge, EdgeData, GraphData, PropertyList, WILDCARD
 from repro.core.pointers import ACTIVE_LOGSTORE, UpdatePointerTable
@@ -37,6 +38,7 @@ from repro.perf.epoch import Epoch
 from repro.succinct.stats import AccessStats
 
 EdgeTypeArg = Union[int, str]  # an EdgeType or the WILDCARD string
+_Store = TypeVar("_Store", bound="ZipG")
 
 _KNUTH = 2654435761
 
@@ -204,13 +206,17 @@ class EdgeRecord:
         return [entry[1] for entry in self._index]
 
 
-class ZipG:
+class ZipG(GraphStoreInterface):
     """A single-logical-store ZipG instance (Table 1 API).
 
-    Build one with :meth:`compress`. In distributed experiments the
+    Build one with :meth:`compress`. The TAO calls of §4.2
+    (Algorithms 1-3) are methods here, written on the Table 1 API, so
+    the store implements :class:`GraphStoreInterface` itself. The
     cluster layer (:mod:`repro.cluster`) places this store's shards on
-    simulated servers; all query logic lives here.
+    servers; all query logic lives here.
     """
+
+    name = "zipg"
 
     def __init__(
         self,
@@ -273,14 +279,14 @@ class ZipG:
 
     @classmethod
     def compress(
-        cls,
+        cls: Type[_Store],
         graph: GraphData,
         num_shards: int = 4,
         alpha: int = 32,
         logstore_threshold_bytes: int = 1 << 20,
         extra_property_ids: Optional[Sequence[str]] = None,
         encoding: str = "succinct",
-    ) -> "ZipG":
+    ) -> _Store:
         """Compress ``graph`` into a ZipG store (the paper's
         ``g = compress(graph)``).
 
@@ -575,6 +581,71 @@ class ZipG:
         -- equal to ``get_edge_data`` over each index, read as one
         batched range per fragment."""
         return record.data_range(begin, end, with_properties)
+
+    # ------------------------------------------------------------------
+    # TAO calls on the Table 1 API (§4.2, Algorithms 1-3)
+    # ------------------------------------------------------------------
+
+    @obs.traced("graph_store.edge_count", layer="graph_store")
+    def edge_count(self, node_id: int, edge_type: int) -> int:
+        """TAO ``assoc_count``: the EdgeCount metadata of the record."""
+        return self.get_edge_record(node_id, edge_type).edge_count
+
+    @obs.traced("graph_store.edges_from_index", layer="graph_store")
+    def edges_from_index(
+        self,
+        node_id: int,
+        edge_type: int,
+        start_index: int,
+        limit: Optional[int],
+        with_properties: bool = True,
+    ) -> List[EdgeData]:
+        """Algorithm 1, ``assoc_range(id, atype, idx, limit)``: up to
+        ``limit`` edges by TimeOrder from ``start_index``."""
+        record = self.get_edge_record(node_id, edge_type)
+        end = record.edge_count if limit is None else min(record.edge_count, start_index + limit)
+        return self.get_edge_data_range(record, start_index, end, with_properties)
+
+    @obs.traced("graph_store.assoc_get", layer="graph_store")
+    def assoc_get(
+        self,
+        node_id: int,
+        edge_type: int,
+        id2_set: Set[int],
+        t_low: Optional[int],
+        t_high: Optional[int],
+    ) -> List[EdgeData]:
+        """Algorithm 2, ``assoc_get(id1, atype, id2set, hi, lo)``: the
+        window's edges to ``id2_set``. Its destinations come from one
+        range read; properties are fetched only for the edges that
+        match."""
+        record = self.get_edge_record(node_id, edge_type)
+        begin, end = self.get_edge_range(record, t_low, t_high)
+        window = self.get_edge_data_range(record, begin, end, with_properties=False)
+        return [
+            self.get_edge_data(record, begin + offset)
+            for offset, entry in enumerate(window)
+            if entry.destination in id2_set
+        ]
+
+    @obs.traced("graph_store.edges_in_time_range", layer="graph_store")
+    def edges_in_time_range(
+        self,
+        node_id: int,
+        edge_type: int,
+        t_low: Optional[int],
+        t_high: Optional[int],
+        limit: Optional[int] = None,
+        with_properties: bool = True,
+    ) -> List[EdgeData]:
+        """Algorithm 3, ``assoc_time_range(id, atype, lo, hi, limit)``:
+        edges with timestamps in ``[t_low, t_high)`` (wildcards via
+        ``None``), at most ``limit`` of them."""
+        record = self.get_edge_record(node_id, edge_type)
+        begin, end = self.get_edge_range(record, t_low, t_high)
+        if limit is not None:
+            end = min(end, begin + limit)
+        return self.get_edge_data_range(record, begin, end, with_properties)
 
     @obs.traced("graph_store.find_edges", layer="graph_store")
     def find_edges(

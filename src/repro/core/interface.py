@@ -1,16 +1,18 @@
 """The common query surface shared by ZipG and the baselines.
 
-The workloads (:mod:`repro.workloads`) and the benchmark harness drive
-every system through these methods, so a TAO/LinkBench/Graph Search
-query executes the *same logical work* everywhere and only the storage
-architecture differs -- which is exactly what the paper's evaluation
-varies.
+:class:`~repro.core.graph_store.ZipG` implements it directly (the TAO
+calls are Algorithms 1-3 of §4.2, written on the Table 1 API), and so
+do the clusters fronting a ZipG store and the baselines.  The
+workload generators and the benchmark harness drive every system
+through these methods, so a TAO/LinkBench/Graph Search query executes
+the *same logical work* everywhere and only the storage architecture
+differs -- which is exactly what the paper's evaluation varies.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Union
 
 from repro.core.model import EdgeData, PropertyList
 from repro.succinct.stats import AccessStats
@@ -25,7 +27,9 @@ class GraphStoreInterface(abc.ABC):
     # -- node queries ---------------------------------------------------
 
     @abc.abstractmethod
-    def get_node_property(self, node_id: int, property_ids="*") -> PropertyList:
+    def get_node_property(
+        self, node_id: int, property_ids: Union[str, Sequence[str]] = "*"
+    ) -> PropertyList:
         """Properties of a node (TAO ``obj_get``)."""
 
     @abc.abstractmethod
@@ -34,7 +38,10 @@ class GraphStoreInterface(abc.ABC):
 
     @abc.abstractmethod
     def get_neighbor_ids(
-        self, node_id: int, edge_type="*", property_list: Optional[PropertyList] = None
+        self,
+        node_id: int,
+        edge_type: Union[int, str] = "*",
+        property_list: Optional[PropertyList] = None,
     ) -> List[int]:
         """Neighbors, optionally filtered by type and properties."""
 

@@ -19,7 +19,7 @@ Python reproduction -- with real crash safety:
 * :func:`attach_wal` arms an in-memory store with a WAL under the
   store root, closing the snapshot-to-snapshot loss window.
 
-On-disk layout (format version 4; version-3 roots remain readable)::
+On-disk layout (format version 4)::
 
     <root>/
       manifest.json            commit point: store metadata (incl. the
@@ -85,11 +85,8 @@ from repro.core.wal import (
 
 MANIFEST_VERSION = 4
 
-#: Manifest versions :func:`load_store` accepts.  Version 3 predates
-#: the pluggable shard codec: its manifests carry no ``encoding`` key
-#: (read as ``"succinct"``) and its shard blobs no ``__format__``
-#: section (decoded as Succinct, the only codec that existed).
-_SUPPORTED_VERSIONS = (3, MANIFEST_VERSION)
+#: Manifest versions :func:`load_store` accepts.
+_SUPPORTED_VERSIONS = (MANIFEST_VERSION,)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -396,9 +393,7 @@ def load_store(
     files = manifest.get("files")
     if not isinstance(generation, int) or not isinstance(files, dict):
         raise ManifestCorruptError(f"{manifest_path}: missing generation/files")
-    # v3 manifests predate the pluggable codec; their shards are
-    # Succinct-encoded and carry no tag.
-    encoding = manifest.get("encoding", "succinct")
+    encoding = manifest.get("encoding")
     if not isinstance(encoding, str):
         raise ManifestCorruptError(f"{manifest_path}: bad encoding tag")
 

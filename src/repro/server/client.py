@@ -1,9 +1,9 @@
 """Thin client library for the master's RPC surface.
 
 A :class:`ZipGClient` mirrors the
-:class:`~repro.baselines.interface.GraphStoreInterface` query/update
-methods one-to-one, so workload :class:`~repro.workloads.base.Operation`
-objects (the TAO mix included) run against it unchanged --
+:class:`~repro.core.interface.GraphStoreInterface` query/update
+methods one-to-one, so workload operations (the TAO mix included)
+run against it unchanged --
 ``operation.run(client)`` issues real RPCs instead of local calls.
 
 The client is deliberately *thin*: no retries, no failover, no

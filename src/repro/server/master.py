@@ -5,14 +5,14 @@ ZipG's deployment fronts the shard servers with an *aggregator*
 operations, fans broadcast searches out across shards, and owns the
 replication/failover state.  :class:`MasterServer` is that endpoint --
 a :class:`~repro.server.shard_server.RpcServerBase` whose requests
-dispatch against a cluster object (usually a
+dispatch against a
 :class:`~repro.cluster.replication.ReplicatedZipGCluster` whose
 transport points at the shard servers, so every query inherits replica
 failover, retries/backoff/deadline, and ``partial_results``
-degradation unchanged).
+degradation unchanged.
 
 The client-visible method surface is an explicit allowlist -- the
-:class:`~repro.baselines.interface.GraphStoreInterface` query/update
+:class:`~repro.core.interface.GraphStoreInterface` query/update
 methods plus a few admin verbs -- not ``getattr`` over everything, so
 a client cannot reach into cluster internals by method name.
 """
@@ -20,9 +20,12 @@ a client cannot reach into cluster internals by method name.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.server.shard_server import RpcServerBase
+
+if TYPE_CHECKING:
+    from repro.cluster.replication import ReplicatedZipGCluster
 
 #: ``server`` tag the master stamps on frames and spans. Distinct from
 #: every shard-server id (those are >= 0) so chaos rules matching
@@ -68,7 +71,7 @@ class MasterServer(RpcServerBase):
 
     role = "master"
 
-    def __init__(self, cluster: object, host: str = "127.0.0.1",
+    def __init__(self, cluster: "ReplicatedZipGCluster", host: str = "127.0.0.1",
                  port: int = 0) -> None:
         super().__init__(server_id=MASTER_SERVER_ID, host=host, port=port)
         self.cluster = cluster
@@ -81,13 +84,7 @@ class MasterServer(RpcServerBase):
             return self._admin(method, args)
         if method not in READ_METHODS and method not in WRITE_METHODS:
             raise KeyError(f"unknown master method {method!r}")
-        handler = getattr(self.cluster, method, None)
-        if handler is None:
-            raise KeyError(
-                f"method {method!r} is not supported by "
-                f"{type(self.cluster).__name__}"
-            )
-        return handler(*args, **kwargs)
+        return getattr(self.cluster, method)(*args, **kwargs)
 
     # zipg: rpc-entry
     def _admin(self, method: str, args: List[object]) -> object:
@@ -95,12 +92,9 @@ class MasterServer(RpcServerBase):
             return "pong"
         if method == "topology":
             return {
-                "num_servers": getattr(self.cluster, "num_servers", 1),
-                "replication_factor": getattr(
-                    self.cluster, "replication_factor", 1
-                ),
-                "placement": getattr(self.cluster, "placement",
-                                     "replication"),
+                "num_servers": self.cluster.num_servers,
+                "replication_factor": self.cluster.replication_factor,
+                "placement": self.cluster.placement,
                 "num_shards": len(self.cluster.store.shards),
             }
         if method == "down_servers":
@@ -108,7 +102,7 @@ class MasterServer(RpcServerBase):
         if method == "catching_up_servers":
             # ec rebuilds are asynchronous: clients poll this (together
             # with down_servers) to observe re-admission.
-            return sorted(getattr(self.cluster, "catching_up_servers", ()))
+            return sorted(self.cluster.catching_up_servers)
         if method == "fail_server":
             self.cluster.fail_server(int(args[0]))
             return True

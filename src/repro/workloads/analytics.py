@@ -5,7 +5,7 @@ The paper's introduction contrasts ZipG with batch-processing systems
 downstream user inevitably wants -- running light analytics directly on
 the compressed serving store via its public neighbor queries, no
 export/ETL step. All functions take any
-:class:`~repro.baselines.interface.GraphStoreInterface` implementor.
+:class:`~repro.core.interface.GraphStoreInterface` implementor.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ class Operation:
     """One workload operation: a named closure over a graph store.
 
     ``run`` takes any object implementing
-    :class:`~repro.baselines.interface.GraphStoreInterface` so the same
+    :class:`~repro.core.interface.GraphStoreInterface` so the same
     operation stream can be replayed against every evaluated system.
     ``target`` is the primary NodeID the operation routes by (None for
     all-shard searches) -- clusters use it for server attribution.

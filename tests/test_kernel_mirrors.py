@@ -369,8 +369,8 @@ def counted_system():
                               "bio": "x" * int(rng.integers(0, 90))})
     for k in range(25):
         graph.add_edge(3, k, 0, 5000 + k, {"since": str(2000 + k), "w": "1" * k})
-    return ZipGSystem(ZipG.compress(graph, num_shards=2, alpha=16,
-                                    encoding="counting-succinct"))
+    return ZipGSystem.load(graph, num_shards=2, alpha=16,
+                           encoding="counting-succinct")
 
 
 def test_assoc_range_makes_at_most_four_kernel_calls(counted_system):

@@ -7,9 +7,9 @@ properties that make that safe to ship:
 * **Parity** -- every query class answers byte-identically to the
   eager (read + CRC + copy) path, across randomized graph layouts,
   update streams, and both registered shard codecs.
-* **Compatibility** -- version-3 roots (no ``encoding`` manifest key,
-  no ``__format__`` section tag) still load in both modes as Succinct;
-  unknown versions and modes are still rejected.
+* **Versions** -- only version-4 roots load: version 3 (no
+  ``encoding`` manifest key) and unknown versions and modes are
+  rejected; an untagged shard blob still decodes as Succinct.
 * **Crash safety** -- recovery with ``mode="mmap"`` at every injected
   save crash point (and under torn writes) yields the same consistent
   state the eager path recovers.
@@ -204,62 +204,28 @@ class TestPropertyParity:
 
 
 # ----------------------------------------------------------------------
-# Backward compatibility: version-3 roots, unknown versions
+# Versions: v3 and unknown versions rejected
 # ----------------------------------------------------------------------
 
 
 class TestVersionCompat:
-    def _downgrade_to_v3(self, root):
-        path = os.path.join(root, "manifest.json")
-        with open(path) as handle:
-            manifest = json.load(handle)
-        assert manifest["version"] == 4
-        assert manifest["encoding"] == "succinct"
-        manifest["version"] = 3
-        del manifest["encoding"]
-        with open(path, "w") as handle:
-            json.dump(manifest, handle)
-
-    @pytest.mark.parametrize("mode", ["eager", "mmap"])
-    def test_v3_manifest_loads_as_succinct(self, tmp_path, mode):
-        store = build_store()
-        mutate(store)
-        root = str(tmp_path / "db")
-        save_store(store, root)
-        self._downgrade_to_v3(root)
-        loaded = load_store(root, mode=mode)
-        assert loaded.encoding == "succinct"
-        assert_same_answers(loaded, store, (1, 2, 3, 9))
-
-    def test_v3_root_verifies(self, tmp_path):
-        root = str(tmp_path / "db")
-        save_store(build_store(), root)
-        self._downgrade_to_v3(root)
-        verify_store(root)
-
-    def test_resave_of_v3_root_upgrades_to_v4(self, tmp_path):
-        root = str(tmp_path / "db")
-        save_store(build_store(), root)
-        self._downgrade_to_v3(root)
-        loaded = load_store(root)
-        save_store(loaded, root)
-        with open(os.path.join(root, "manifest.json")) as handle:
-            manifest = json.load(handle)
-        assert manifest["version"] == 4
-        assert manifest["encoding"] == "succinct"
-
     def test_unknown_version_still_rejected(self, tmp_path):
+        """Version 3 (the pre-codec format) is no longer read either."""
         root = str(tmp_path / "db")
         save_store(build_store(), root)
         path = os.path.join(root, "manifest.json")
-        with open(path) as handle:
-            manifest = json.load(handle)
-        manifest["version"] = 99
-        with open(path, "w") as handle:
-            json.dump(manifest, handle)
-        for mode in ("eager", "mmap"):
-            with pytest.raises(UnsupportedVersionError):
-                load_store(root, mode=mode)
+        for version in (3, 99):
+            with open(path) as handle:
+                manifest = json.load(handle)
+            manifest["version"] = version
+            with open(path, "w") as handle:
+                json.dump(manifest, handle)
+            for mode in ("eager", "mmap"):
+                with pytest.raises(UnsupportedVersionError):
+                    load_store(root, mode=mode)
+            assert [issue.kind for issue in verify_store(root).issues] == [
+                "unsupported-version"
+            ]
 
     def test_untagged_blob_decodes_as_succinct(self):
         """Pre-v4 flat files carry no ``__format__`` section; the

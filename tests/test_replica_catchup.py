@@ -17,6 +17,7 @@ from repro.cluster import ReplicatedZipGCluster, ShardUnavailable
 from repro.cluster.replication import LOGSTORE_UNIT
 from repro.core import GraphData, ReplicaCallError, ZipG
 from repro.core.errors import TransportError
+from repro.core.model import EdgeData
 from repro.server.loopback import LoopbackCluster
 from repro.server.transport import InProcessTransport
 
@@ -281,3 +282,74 @@ class TestCatchUpOverRpc:
                 201, ("name",)) == {"name": "missed"}
             assert loopback.servers[1].store.get_neighbor_ids(200) == \
                 loopback.servers[0].store.get_neighbor_ids(200)
+
+
+class ApplyWriteLog(TransportHook):
+    """A :class:`TransportHook` that also keeps every shipped
+    ``apply_write`` as ``(server, lsn, op)``."""
+
+    def __init__(self, cluster):
+        super().__init__(cluster)
+        self.writes = []
+
+    def call(self, server_id, method, args, unit=None, kwargs=None):
+        if method == "apply_write":
+            self.writes.append((server_id, args[0], args[1]))
+        return super().call(server_id, method, args, unit=unit, kwargs=kwargs)
+
+
+class TestReplicatedUpdates:
+    """``update_node`` / ``update_edge`` replicate as a delete record
+    and then an append record.  Running them as the store's own
+    ``update_*`` would change only the master and skip the oplog."""
+
+    UPDATED_NODE = {"name": "renamed", "kind": "z"}
+    UPDATED_EDGES = [EdgeData(4, 50, {"name": "e"})]
+
+    @staticmethod
+    def replica(_server_id):
+        return ZipG.compress(build_graph(), num_shards=2, alpha=8,
+                             logstore_threshold_bytes=1 << 20)
+
+    def update(self, cluster):
+        cluster.update_node(3, dict(self.UPDATED_NODE))
+        cluster.update_edge(3, 0, 4, timestamp=50, properties={"name": "e"})
+
+    def assert_replicas_updated(self, cluster, loopback):
+        for server in loopback.servers:
+            assert server.store.get_node_property(3) == self.UPDATED_NODE
+            assert server.store.edges_from_index(3, 0, 0, None) == \
+                self.UPDATED_EDGES
+        # Routed reads rotate over both live replicas.
+        for _ in range(2):
+            assert cluster.get_node_property(3) == self.UPDATED_NODE
+
+    def test_updates_ship_delete_then_append(self):
+        cluster = ReplicatedZipGCluster(self.replica(-1), num_servers=2,
+                                        replication_factor=2)
+        with LoopbackCluster(cluster.store, num_servers=2,
+                             replica_factory=self.replica) as loopback:
+            cluster.transport = loopback.transport
+            log = ApplyWriteLog(cluster)
+            self.update(cluster)
+            for server in (0, 1):
+                assert [(lsn, op) for target, lsn, op in log.writes
+                        if target == server] == [
+                    (1, "del_node"), (2, "node"), (3, "del_edge"), (4, "edge"),
+                ]
+                assert cluster.applied_lsn(server) == cluster.commit_lsn == 4
+            self.assert_replicas_updated(cluster, loopback)
+
+    def test_recovered_replica_sees_updates(self):
+        cluster = ReplicatedZipGCluster(self.replica(-1), num_servers=2,
+                                        replication_factor=2)
+        with LoopbackCluster(cluster.store, num_servers=2,
+                             replica_factory=self.replica) as loopback:
+            cluster.transport = loopback.transport
+            cluster.fail_server(1)
+            self.update(cluster)
+            assert cluster.applied_lsn(1) == 0
+            cluster.recover_server(1)
+            assert cluster.down_servers == set()
+            assert cluster.applied_lsn(1) == cluster.commit_lsn == 4
+            self.assert_replicas_updated(cluster, loopback)

@@ -1,10 +1,12 @@
-"""Unit tests for BFS traversal and the distributed cluster simulation."""
+"""Unit tests for BFS traversal, cluster placement and the Fig. 9 cluster
+simulation."""
 
 import pytest
 
 from repro.bench.memory_model import CostModel
 from repro.bench.systems import build_system
-from repro.cluster import TitanCluster, ZipGCluster, run_distributed_workload
+from repro.cluster import ZipGCluster
+from repro.cluster.sim import SimulatedZipGCluster, TitanCluster, run_distributed_workload
 from repro.core import GraphData, ZipG
 from repro.workloads import TAOWorkload, bfs_traversal
 from repro.workloads.graphs import social_graph
@@ -67,6 +69,9 @@ class TestZipGCluster:
         cluster = ZipGCluster(store, num_servers=4)
         assert cluster.server_of_shard(0) == 0
         assert cluster.server_of_shard(5) == 1
+        # The serving cluster carries none of the simulator's state.
+        for attribute in ("servers", "run_operation", "_attribute"):
+            assert not hasattr(cluster, attribute)
 
     def test_rejects_zero_servers(self, cluster_graph, extra_ids):
         store = ZipG.compress(cluster_graph, num_shards=2, alpha=8,
@@ -77,7 +82,7 @@ class TestZipGCluster:
     def test_distributed_run_produces_result(self, cluster_graph, extra_ids):
         store = ZipG.compress(cluster_graph, num_shards=8, alpha=8,
                               extra_property_ids=extra_ids)
-        cluster = ZipGCluster(store, num_servers=4)
+        cluster = SimulatedZipGCluster(store, num_servers=4)
         workload = TAOWorkload(cluster_graph, seed=0)
         result = run_distributed_workload(
             cluster, workload.operations(80), CostModel(),
@@ -91,7 +96,7 @@ class TestZipGCluster:
     def test_busy_time_lands_on_touched_servers(self, cluster_graph, extra_ids):
         store = ZipG.compress(cluster_graph, num_shards=8, alpha=8,
                               extra_property_ids=extra_ids)
-        cluster = ZipGCluster(store, num_servers=4)
+        cluster = SimulatedZipGCluster(store, num_servers=4)
         workload = TAOWorkload(cluster_graph, seed=1)
         run_distributed_workload(
             cluster, workload.operations(60), CostModel(),
@@ -103,7 +108,7 @@ class TestZipGCluster:
     def test_broadcast_query_touches_all_servers(self, cluster_graph, extra_ids):
         store = ZipG.compress(cluster_graph, num_shards=8, alpha=8,
                               extra_property_ids=extra_ids)
-        cluster = ZipGCluster(store, num_servers=4)
+        cluster = SimulatedZipGCluster(store, num_servers=4)
         from repro.workloads.base import Operation
 
         operation = Operation("GS3", lambda s: s.get_node_ids({"city": "Ithaca"}))
