@@ -1,9 +1,11 @@
 """Cache-coherence lint (CACHE001).
 
-The hot-set cache (:mod:`repro.perf.cache`) embeds an epoch counter in
-every cache key; a mutation that forgets to bump the epoch leaves stale
-entries *reachable* -- the exact bug class the epoch design exists to
-make impossible. In modules marked ``# zipg: cache-backed``, every
+The hot-set cache (:mod:`repro.perf.cache`) embeds the store's epoch
+counter in every cache key; a mutation that forgets to bump the epoch
+leaves stale entries *reachable* -- the exact bug class the epoch design
+exists to make impossible. The one module marked ``# zipg: cache-backed``
+is ``repro/core/graph_store.py``, whose ``ZipG`` owns both the cache and
+the epoch. In a marked module, every
 mutating method (``append_*``, ``delete_*``, ``update_*``,
 ``freeze_*``, ``compact_*``, ``mark_*``, ``add_*``, ``remove_*``) must
 bump an epoch, either directly (a ``....bump()`` call) or transitively
@@ -81,7 +83,7 @@ def _bumping_methods(cls: ast.ClassDef) -> Set[str]:
     "mutating methods in cache-backed modules must bump an epoch so "
     "stale cache entries become unreachable",
 )
-def check_cache_epoch_bumps(context: AnalysisContext) -> Iterator[Finding]:
+def check_epoch_bumps(context: AnalysisContext) -> Iterator[Finding]:
     for module in context.modules:
         if not module.markers.module_has("cache-backed"):
             continue

@@ -26,7 +26,7 @@ from __future__ import annotations
 # zipg: hot-path
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,15 +43,8 @@ from repro.core.errors import EdgeRecordNotFound
 from repro.core.model import Edge, EdgeData
 from repro.succinct.stats import AccessStats
 
-if TYPE_CHECKING:
-    from repro.perf.cache import HotSetCache
-
 _METADATA_PROBE_BYTES = 48  # covers typical header + metadata fields
 _METADATA_PROBE_MAX = 256  # fallback for records with huge ids/counts
-
-# Flat charge for one cached EdgeRecordFragment (nine small ints plus
-# object overhead) -- `estimate_size` can't see through dataclasses.
-_FRAGMENT_CACHE_BYTES = 200
 
 
 def _split_ints(raw: bytes, width: int, count: int) -> List[int]:
@@ -268,36 +261,6 @@ class EdgeFile:
             bytes(buffer), alpha=alpha, stats=stats, encoding=encoding
         )
         self.stats = self._file.stats
-        self._init_cache_state()
-
-    def _init_cache_state(self) -> None:
-        from repro.perf.cache import new_cache_tag
-
-        self._cache = None
-        self._cache_epoch_of = None
-        self._cache_tag = new_cache_tag()
-
-    # ------------------------------------------------------------------
-    # Hot-set cache (repro.perf)
-    # ------------------------------------------------------------------
-
-    def attach_cache(
-        self,
-        cache: "HotSetCache",
-        epoch_of: Optional[Callable[[], int]] = None,
-    ) -> None:
-        """Cache parsed edge-record metadata and the Succinct reads."""
-        self._cache = cache
-        self._cache_epoch_of = epoch_of
-        self._file.attach_cache(cache, epoch_of=epoch_of)
-
-    def detach_cache(self) -> None:
-        self._cache = None
-        self._cache_epoch_of = None
-        self._file.detach_cache()
-
-    def _cache_epoch(self) -> int:
-        return self._cache_epoch_of() if self._cache_epoch_of is not None else 0
 
     # zipg: layout-writer[edge-record]
     def _serialize_record(
@@ -398,23 +361,6 @@ class EdgeFile:
         file (§3.4); the trailing separator prevents prefix collisions
         (type 1 vs. type 10).
         """
-        cache = self._cache
-        if cache is None:
-            return self._find_record_uncached(source, edge_type)
-        key = ("ef", self._cache_tag, self._cache_epoch(), source, edge_type)
-        # Fragments are immutable metadata views, so sharing one across
-        # callers is safe; None results are cached too (negative
-        # caching -- record misses are common on fanned-out lookups).
-        return cache.get_or_load(
-            key,
-            lambda: self._find_record_uncached(source, edge_type),
-            nbytes=_FRAGMENT_CACHE_BYTES,
-        )
-
-    def _find_record_uncached(
-        self, source: int, edge_type: int
-    ) -> Optional[EdgeRecordFragment]:
-        """The pre-cache ``find_record`` body."""
         pattern = (
             bytes([EDGE_RECORD_BEGIN])
             + str(source).encode("ascii")
@@ -540,7 +486,6 @@ class EdgeFile:
         instance._record_offsets = unpack_array(sections["record_offsets"])
         instance._file = decode_flat_file(sections["file"], stats=stats)
         instance.stats = instance._file.stats
-        instance._init_cache_state()
         return instance
 
     # ------------------------------------------------------------------

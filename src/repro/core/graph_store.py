@@ -33,7 +33,7 @@ from repro.core.logstore import LogStore
 from repro.core.model import Edge, EdgeData, GraphData, PropertyList, WILDCARD
 from repro.core.pointers import ACTIVE_LOGSTORE, UpdatePointerTable
 from repro.core.shard import CompressedShard
-from repro.perf.cache import HotSetCache, new_cache_tag
+from repro.perf.cache import HotSetCache
 from repro.perf.epoch import Epoch
 from repro.succinct.stats import AccessStats
 
@@ -255,11 +255,10 @@ class ZipG(GraphStoreInterface):
         self._pointer_hops = 0
         # Store-level epoch: bumped by every mutation (append, delete,
         # freeze, compaction -- WAL replay routes through the same
-        # _apply_* methods). Store-level cached results embed it.
+        # _apply_* methods). Every cache key embeds it.
         self.epoch = Epoch()
         # Optional hot-set cache (repro.perf); see enable_cache().
         self._cache: Optional[HotSetCache] = None
-        self._cache_tag = 0
         # Erasure-coded fragment stores this process serves, keyed by
         # server id (repro.ec; attached by the cluster layer or the
         # serve-shard CLI).  The ec_fetch_fragment / ec_store_fragment
@@ -364,32 +363,25 @@ class ZipG(GraphStoreInterface):
         return self._cache
 
     def enable_cache(self, budget_bytes: int) -> HotSetCache:
-        """Front the hot read paths with a byte-budgeted hot-set cache.
+        """Front four query results with a byte-budgeted hot-set cache.
 
-        One shared :class:`HotSetCache` covers store-level results
-        (adjacency lists, fan-out searches) and, through each shard's
-        ``attach_cache``, the NodeFile/EdgeFile/Succinct reads beneath
-        them. Keys embed the relevant epoch, so every mutation
-        invalidates in O(1). Budget accounting is global: the cache
-        never holds more than ``budget_bytes``.
+        ``get_node_property``, ``get_neighbor_ids``, ``get_node_ids``
+        and ``find_edges`` answer from one private :class:`HotSetCache`
+        whose keys embed :attr:`epoch`, so every mutation invalidates in
+        O(1). Nothing below this API is cached. The cache never holds
+        more than ``budget_bytes``.
 
         Args:
             budget_bytes: total byte budget (a useful rule of thumb is
                 <= 10% of :meth:`storage_footprint_bytes`).
         """
-        cache = HotSetCache(budget_bytes, name="zipg")
-        self._cache = cache
-        self._cache_tag = new_cache_tag()
-        for shard in self._shards:
-            shard.attach_cache(cache)
-        return cache
+        self._cache = HotSetCache(budget_bytes)
+        return self._cache
 
     def disable_cache(self) -> None:
-        """Detach the cache everywhere; reads revert to the pre-cache
-        paths (byte-identical behavior)."""
+        """Drop the cache; reads revert to the uncached paths
+        (byte-identical behavior)."""
         self._cache = None
-        for shard in self._shards:
-            shard.detach_cache()
 
     def route(self, node_id: int) -> int:
         """Initial shard a NodeID hashes to (query entry point)."""
@@ -443,6 +435,21 @@ class ZipG(GraphStoreInterface):
             wanted = [property_ids]
         else:
             wanted = list(property_ids)
+        cache = self._cache
+        if cache is None:
+            return self._node_properties(node_id, wanted)
+        key = ("gs.node", self.epoch.value, node_id,
+               None if wanted is None else tuple(wanted))
+        # Callers own their PropertyList: hand out a copy so the cached
+        # dict cannot be mutated behind the cache's back.
+        return dict(
+            cache.get_or_load(key, lambda: self._node_properties(node_id, wanted))
+        )
+
+    # zipg: span-free  (always runs under get_node_property's span)
+    def _node_properties(
+        self, node_id: int, wanted: Optional[List[str]]
+    ) -> PropertyList:
         for location in self._node_locations_newest_first(node_id):
             if location.node_live(node_id):
                 return location.get_properties(node_id, wanted)
@@ -467,12 +474,7 @@ class ZipG(GraphStoreInterface):
         cache = self._cache
         if cache is None:
             return self._search_nodes(property_list)
-        key = (
-            "gs.nodeids",
-            self._cache_tag,
-            self.epoch.value,
-            tuple(sorted(property_list.items())),
-        )
+        key = ("gs.nodeids", self.epoch.value, tuple(sorted(property_list.items())))
         return list(
             cache.get_or_load(key, lambda: self._search_nodes(property_list))
         )
@@ -509,9 +511,7 @@ class ZipG(GraphStoreInterface):
         if cache is None:
             destinations = self.get_edge_record(node_id, edge_type).destinations()
         else:
-            # Store-level key: the merged record spans shards *and* the
-            # LogStore, so only the store epoch safely covers it.
-            key = ("gs.nbr", self._cache_tag, self.epoch.value, node_id, edge_type)
+            key = ("gs.nbr", self.epoch.value, node_id, edge_type)
             destinations = list(
                 cache.get_or_load(
                     key,
@@ -661,7 +661,7 @@ class ZipG(GraphStoreInterface):
         cache = self._cache
         if cache is None:
             return self._search_edges(property_id, value)
-        key = ("gs.edges", self._cache_tag, self.epoch.value, property_id, value)
+        key = ("gs.edges", self.epoch.value, property_id, value)
         return list(
             cache.get_or_load(
                 key, lambda: self._search_edges(property_id, value)
@@ -857,8 +857,6 @@ class ZipG(GraphStoreInterface):
                 shard_id, nodes, edges, self._delimiters, alpha=self._alpha,
                 encoding=self.encoding,
             )
-            if self._cache is not None:
-                new_shard.attach_cache(self._cache)
             self._shards.append(new_shard)
             for node_id in nodes:
                 self._table(node_id).promote_node_active(node_id, shard_id)
@@ -906,8 +904,6 @@ class ZipG(GraphStoreInterface):
                 new_shard_id, merged_nodes, merged_edges, self._delimiters,
                 alpha=self._alpha, encoding=self.encoding,
             )
-            if self._cache is not None:
-                merged_shard.attach_cache(self._cache)
             new_shards.append(merged_shard)
         reclaimed = len(self._shards) - len(new_shards)
         self._shards = new_shards

@@ -14,11 +14,8 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Set, Tuple
 
-# zipg: cache-backed
-
 from repro import obs
 from repro.core.model import Edge, EdgeData, PropertyList
-from repro.perf.epoch import Epoch
 from repro.succinct.stats import AccessStats
 
 
@@ -119,9 +116,6 @@ class LogStore:
         self._value_index: Dict[Tuple[str, str], Set[int]] = {}
         self._node_tombstones: Set[int] = set()
         self._size_bytes = 0
-        # Every write bumps this; cache keys embed it so fresh-data
-        # reads are never served stale from the hot-set cache.
-        self.epoch = Epoch()
 
     # ------------------------------------------------------------------
     # Writes
@@ -130,7 +124,6 @@ class LogStore:
     def append_node(self, node_id: int, properties: PropertyList) -> None:
         """Append a node (or a fresh version of one) with its properties."""
         self.stats.writes += 1
-        self.epoch.bump()
         previous = self._nodes.get(node_id)
         if previous is not None:
             for key, value in previous.items():
@@ -148,7 +141,6 @@ class LogStore:
     def append_edge(self, edge: Edge) -> None:
         """Append one edge, keeping the record sorted by timestamp."""
         self.stats.writes += 1
-        self.epoch.bump()
         bucket = self._edges.setdefault((edge.source, edge.edge_type), [])
         keys = [(e.timestamp, e.destination) for e in bucket]
         bucket.insert(bisect.bisect_right(keys, (edge.timestamp, edge.destination)), edge)
@@ -161,7 +153,6 @@ class LogStore:
         the footprint; :meth:`append_node` re-adds it on revive.
         """
         self.stats.writes += 1
-        self.epoch.bump()
         if node_id in self._nodes and node_id not in self._node_tombstones:
             self._node_tombstones.add(node_id)
             self._size_bytes -= self._node_size(node_id, self._nodes[node_id])
@@ -174,7 +165,6 @@ class LogStore:
         tombstoning by (source, type, destination) would wrongly revive
         older duplicates when the same edge is later re-appended."""
         self.stats.writes += 1
-        self.epoch.bump()
         bucket = self._edges.get((source, edge_type), [])
         remaining = [edge for edge in bucket if edge.destination != destination]
         matching = len(bucket) - len(remaining)

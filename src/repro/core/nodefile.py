@@ -29,7 +29,7 @@ from __future__ import annotations
 # zipg: hot-path
 
 import bisect
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from repro.core.delimiters import END_OF_RECORD, DelimiterMap
 from repro.core.errors import NodeNotFound
 from repro.core.model import PropertyList
 from repro.succinct.stats import AccessStats
-
-if TYPE_CHECKING:
-    from repro.perf.cache import HotSetCache
 
 
 class NodeFile:
@@ -94,38 +91,8 @@ class NodeFile:
             bytes(buffer), alpha=alpha, stats=stats, encoding=encoding
         )
         self.stats = self._file.stats
-        self._init_cache_state()
-
-    def _init_cache_state(self) -> None:
-        from repro.perf.cache import new_cache_tag
-
-        self._cache = None
-        self._cache_epoch_of = None
-        self._cache_tag = new_cache_tag()
         # Query-time directory mirror (never built at load).
         self._node_id_list_cache: Optional[list] = None
-
-    # ------------------------------------------------------------------
-    # Hot-set cache (repro.perf)
-    # ------------------------------------------------------------------
-
-    def attach_cache(
-        self,
-        cache: "HotSetCache",
-        epoch_of: Optional[Callable[[], int]] = None,
-    ) -> None:
-        """Cache decoded PropertyLists and the underlying Succinct reads."""
-        self._cache = cache
-        self._cache_epoch_of = epoch_of
-        self._file.attach_cache(cache, epoch_of=epoch_of)
-
-    def detach_cache(self) -> None:
-        self._cache = None
-        self._cache_epoch_of = None
-        self._file.detach_cache()
-
-    def _cache_epoch(self) -> int:
-        return self._cache_epoch_of() if self._cache_epoch_of is not None else 0
 
     # ------------------------------------------------------------------
     # Directory
@@ -211,23 +178,6 @@ class NodeFile:
         through one ``extract_batch`` call (a single lockstep NPA walk),
         instead of two extracts per property.
         """
-        cache = self._cache
-        if cache is None:
-            return self._get_properties_uncached(node_id, property_ids)
-        wanted = None if property_ids is None else tuple(property_ids)
-        key = ("nf", self._cache_tag, self._cache_epoch(), node_id, wanted)
-        value = cache.get_or_load(
-            key, lambda: self._get_properties_uncached(node_id, property_ids)
-        )
-        # Callers own their PropertyList; hand out a copy so the cached
-        # dict can't be mutated behind the cache's back.
-        return dict(value)
-
-    # zipg: layout-parser[node-record]
-    def _get_properties_uncached(
-        self, node_id: int, property_ids: Optional[List[str]] = None
-    ) -> PropertyList:
-        """The pre-cache ``get_properties`` body."""
         width = self._len_width
         count = len(self._delimiters)
         if property_ids is None:
@@ -350,7 +300,7 @@ class NodeFile:
         instance._offsets = unpack_array(sections["offsets"])
         instance._file = decode_flat_file(sections["file"], stats=stats)
         instance.stats = instance._file.stats
-        instance._init_cache_state()
+        instance._node_id_list_cache = None
         return instance
 
     # ------------------------------------------------------------------

@@ -9,20 +9,15 @@ only its deletion bitmaps mutate.
 from __future__ import annotations
 
 # zipg: hot-path
-# zipg: cache-backed
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.core.deletes import DeletionIndex
 from repro.core.delimiters import DelimiterMap
 from repro.core.edgefile import EdgeFile, EdgeRecordFragment
 from repro.core.model import Edge, EdgeData, PropertyList
-from repro.perf.epoch import Epoch
 from repro.succinct.stats import AccessStats
-
-if TYPE_CHECKING:
-    from repro.perf.cache import HotSetCache
 
 
 class ShardEdgeFragment:
@@ -80,7 +75,6 @@ class ShardEdgeFragment:
 
     def mark_deleted(self, time_order: int) -> None:
         self._shard.deletions.delete_edge(self._fragment.base_edge_index + time_order)
-        self._shard.epoch.bump()
 
 
 class CompressedShard:
@@ -118,9 +112,6 @@ class CompressedShard:
             edges, delimiters, alpha=alpha, stats=self.stats, encoding=encoding
         )
         self.deletions = DeletionIndex(len(self.node_file), self.edge_file.num_edges)
-        # Generation counter covering this shard's only mutable state
-        # (the deletion bitmaps); cache keys embed it.
-        self.epoch = Epoch()
 
     # ------------------------------------------------------------------
     # Nodes
@@ -157,7 +148,6 @@ class CompressedShard:
             return False
         self.deletions.delete_node(self.node_file.node_index(node_id))
         self.stats.writes += 1
-        self.epoch.bump()
         return True
 
     # ------------------------------------------------------------------
@@ -215,7 +205,6 @@ class CompressedShard:
                 deleted += 1
         if deleted:
             self.stats.writes += 1
-            self.epoch.bump()
         return deleted
 
     # ------------------------------------------------------------------
@@ -281,28 +270,7 @@ class CompressedShard:
         instance.deletions._edges = BitVector.from_blocks(
             num_edges, unpack_array(sections["deleted_edges"])
         )
-        instance.epoch = Epoch()
         return instance
-
-    # ------------------------------------------------------------------
-    # Hot-set cache (repro.perf)
-    # ------------------------------------------------------------------
-
-    def _epoch_value(self) -> int:
-        return self.epoch.value
-
-    def attach_cache(self, cache: "HotSetCache") -> None:
-        """Front this shard's compressed files with ``cache``.
-
-        Cache keys embed :attr:`epoch`, so deletions on this shard
-        invalidate every cached read in O(1).
-        """
-        self.node_file.attach_cache(cache, epoch_of=self._epoch_value)
-        self.edge_file.attach_cache(cache, epoch_of=self._epoch_value)
-
-    def detach_cache(self) -> None:
-        self.node_file.detach_cache()
-        self.edge_file.detach_cache()
 
     # ------------------------------------------------------------------
     # Garbage-collection support

@@ -3,20 +3,18 @@ coalescing layer (PR 5).
 
 ZipG's pitch is serving interactive queries *from the compressed
 representation* within a fixed memory budget (§2, §5). Repeated
-TAO/LinkBench reads nevertheless re-run the same sampled-SA walks and
-re-decode the same NodeFile/EdgeFile spans from scratch; this package
-spends a small, strictly byte-accounted slice of the budget to make
-those hot reads cheap without touching the memory-efficiency story:
+TAO/LinkBench reads nevertheless re-run the same searches and
+re-decode the same records from scratch; this package spends a small,
+strictly byte-accounted slice of the budget to make those hot reads
+cheap without touching the memory-efficiency story:
 
 * :class:`~repro.perf.cache.HotSetCache` -- a thread-safe segmented-LRU
-  cache with a byte budget (:class:`~repro.perf.cache.CacheBudget`),
-  per-entry byte accounting, and ``zipg_cache_*`` metrics published
-  through :mod:`repro.obs`.
-* :class:`~repro.perf.epoch.Epoch` -- the monotone counters every
-  shard, the LogStore, and the store itself carry. Cache keys embed
-  the epoch, so a mutation invalidates in O(1) (the stale generation
-  simply becomes unreachable garbage the LRU evicts) -- never a key
-  scan.
+  cache with a byte budget, per-entry byte accounting, and
+  ``zipg_cache_*`` metrics published through :mod:`repro.obs`.
+* :class:`~repro.perf.epoch.Epoch` -- the store's monotone generation
+  counter. Cache keys embed it, so a mutation invalidates in O(1) (the
+  stale generation simply becomes unreachable garbage the LRU evicts)
+  -- never a key scan.
 * :mod:`~repro.perf.coalesce` -- single-flight request sharing
   (:class:`~repro.perf.coalesce.SingleFlight`) so concurrent identical
   queries execute once.
@@ -28,20 +26,18 @@ from __future__ import annotations
 
 from repro.perf.cache import (
     ENTRY_OVERHEAD_BYTES,
-    CacheBudget,
+    PROTECTED_FRACTION,
     HotSetCache,
     estimate_size,
-    new_cache_tag,
 )
 from repro.perf.coalesce import SingleFlight
 from repro.perf.epoch import Epoch
 
 __all__ = [
-    "CacheBudget",
     "ENTRY_OVERHEAD_BYTES",
     "Epoch",
     "HotSetCache",
+    "PROTECTED_FRACTION",
     "SingleFlight",
     "estimate_size",
-    "new_cache_tag",
 ]

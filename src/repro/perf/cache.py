@@ -8,23 +8,24 @@ envelope (§2); an entry-count cap would let a handful of megabyte
 adjacency lists blow through it. Every entry is charged its estimated
 payload size (:func:`estimate_size`) plus a fixed
 :data:`ENTRY_OVERHEAD_BYTES` for the key, the OrderedDict slot, and the
-bookkeeping tuple. The invariant ``bytes <= budget.total_bytes`` holds
-at every instant the lock is released.
+bookkeeping tuple. The invariant ``bytes <= budget_bytes`` holds at
+every instant the lock is released.
 
 **Segmented LRU.** Two LRU segments (the Secondary-Level Replacement
 policy from the 1994 SLRU paper, as used by memcached and Caffeine):
 new entries land in *probation*; a hit while on probation promotes the
 entry to *protected*. One-touch scan traffic therefore washes through
 probation without displacing the re-referenced hot set sitting in
-protected. Protected is capped at ``protected_fraction`` of the budget;
-overflow demotes protected-LRU entries back to probation's MRU end
+protected. Protected is capped at :data:`PROTECTED_FRACTION` of the
+budget; overflow demotes protected-LRU entries back to probation's MRU end
 rather than dropping them.
 
 **Epoch-keyed invalidation.** The cache itself knows nothing about
-invalidation. Callers embed a generation counter
-(:class:`~repro.perf.epoch.Epoch`) in each key; a mutation bumps the
-epoch, so stale generations simply stop being referenced and age out
-under budget pressure. O(1) per mutation, no key scans, no TTLs.
+invalidation. Its one owner, :meth:`repro.core.graph_store.ZipG.enable_cache`,
+embeds the store's generation counter (:class:`~repro.perf.epoch.Epoch`)
+in each key; a mutation bumps the epoch, so stale generations simply
+stop being referenced and age out under budget pressure. O(1) per
+mutation, no key scans, no TTLs.
 
 **Single-flight loads.** :meth:`HotSetCache.get_or_load` guarantees at
 most one loader runs per key at a time: concurrent misses on a hot key
@@ -36,7 +37,7 @@ either the flight or the entry. Loaders run outside the cache lock.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import sys
 import threading
 import weakref
@@ -52,28 +53,21 @@ from repro.perf.coalesce import SingleFlight
 # OrderedDict links, and the (value, nbytes) slot.
 ENTRY_OVERHEAD_BYTES = 96
 
+#: Share of the budget the protected segment may hold before its LRU
+#: tail is demoted back to probation.
+PROTECTED_FRACTION = 0.8
+
 _MISS = object()
-
-_tag_counter = itertools.count(1)
-
-
-def new_cache_tag() -> int:
-    """A process-unique id distinguishing cache-attached structures.
-
-    Embedded in cache keys alongside the epoch so two structures (or
-    one structure re-attached after reload) can never collide on keys.
-    """
-    return next(_tag_counter)
 
 
 def estimate_size(value: object) -> int:
     """Estimate the resident payload size of ``value`` in bytes.
 
     Exact for the types the store actually caches (bytes, str, ints,
-    numpy arrays, and flat containers of those); ``sys.getsizeof`` is
-    the fallback for anything exotic. Container estimates recurse one
-    level per element, which is enough for the dict-of-str property
-    maps and list-of-int adjacency results on the hot paths.
+    numpy arrays, dataclasses such as ``EdgeData``, and containers of
+    those); ``sys.getsizeof`` is the fallback for anything exotic.
+    Containers and dataclass fields are charged recursively, so a
+    ``find_edges`` result pays for every edge's property dict.
     """
     if value is None:
         return 8
@@ -93,44 +87,15 @@ def estimate_size(value: object) -> int:
         )
     if isinstance(value, (list, tuple, set, frozenset)):
         return 56 + sum(estimate_size(item) for item in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return 56 + sum(
+            estimate_size(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        )
     try:
         return int(sys.getsizeof(value))
     except TypeError:
         return 256
-
-
-class CacheBudget:
-    """A byte budget with a protected-segment cap.
-
-    Args:
-        total_bytes: hard ceiling on cached payload + per-entry
-            overhead. Must be positive.
-        protected_fraction: share of the budget the protected segment
-            may occupy before demoting back to probation.
-    """
-
-    __slots__ = ("total_bytes", "protected_fraction")
-
-    def __init__(
-        self, total_bytes: int, protected_fraction: float = 0.8
-    ) -> None:
-        if total_bytes <= 0:
-            raise ValueError("total_bytes must be positive")
-        if not 0.0 < protected_fraction < 1.0:
-            raise ValueError("protected_fraction must be in (0, 1)")
-        self.total_bytes = int(total_bytes)
-        self.protected_fraction = float(protected_fraction)
-
-    @property
-    def protected_bytes(self) -> int:
-        """Byte cap for the protected segment."""
-        return int(self.total_bytes * self.protected_fraction)
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheBudget(total_bytes={self.total_bytes}, "
-            f"protected_fraction={self.protected_fraction})"
-        )
 
 
 class HotSetCache:
@@ -140,18 +105,15 @@ class HotSetCache:
     callables passed to :meth:`get_or_load` execute outside it.
 
     Args:
-        budget: a :class:`CacheBudget` or a total byte count.
-        name: label for the ``zipg_cache_*`` metrics this cache
-            publishes through :mod:`repro.obs`.
+        budget_bytes: hard ceiling on cached payload + per-entry
+            overhead. Must be positive.
     """
 
-    def __init__(
-        self, budget: Union[CacheBudget, int], name: str = "store"
-    ) -> None:
-        if isinstance(budget, int):
-            budget = CacheBudget(budget)
-        self.budget = budget
-        self.name = name
+    def __init__(self, budget_bytes: int) -> None:
+        if budget_bytes <= 0:
+            raise ValueError("budget_bytes must be positive")
+        self.budget_bytes = int(budget_bytes)
+        self.protected_bytes = int(self.budget_bytes * PROTECTED_FRACTION)
         self._lock = threading.Lock()
         # key -> (value, nbytes); insertion order is LRU order
         # (oldest first), move_to_end on touch.
@@ -173,8 +135,7 @@ class HotSetCache:
         """Look up ``key``; returns ``(hit, value)``.
 
         The two-tuple (rather than a sentinel return) lets callers
-        cache ``None`` results -- negative caching matters for
-        ``EdgeFile.find_record`` misses.
+        cache ``None`` results.
         """
         with self._lock:
             value = self._get_locked(key)
@@ -196,7 +157,7 @@ class HotSetCache:
         # back to probation if the segment overflows.
         self._protected[key] = entry
         self._protected_bytes += entry[1]
-        cap = self.budget.protected_bytes
+        cap = self.protected_bytes
         while self._protected_bytes > cap and len(self._protected) > 1:
             demoted_key, demoted = self._protected.popitem(last=False)
             self._protected_bytes -= demoted[1]
@@ -205,18 +166,14 @@ class HotSetCache:
 
     # -- writes --------------------------------------------------------
 
-    def put(
-        self, key: Hashable, value: object, nbytes: Optional[int] = None
-    ) -> bool:
+    def put(self, key: Hashable, value: object) -> bool:
         """Insert ``key`` -> ``value``; returns False if it cannot fit.
 
         Entries larger than the whole budget are rejected rather than
         flushing the cache to admit one oversized value.
         """
-        if nbytes is None:
-            nbytes = estimate_size(value)
-        nbytes = int(nbytes) + ENTRY_OVERHEAD_BYTES
-        if nbytes > self.budget.total_bytes:
+        nbytes = estimate_size(value) + ENTRY_OVERHEAD_BYTES
+        if nbytes > self.budget_bytes:
             return False
         with self._lock:
             self._remove_locked(key)
@@ -235,7 +192,7 @@ class HotSetCache:
             self._bytes -= entry[1]
 
     def _evict_locked(self) -> None:
-        total = self.budget.total_bytes
+        total = self.budget_bytes
         while self._bytes > total:
             if self._probation:
                 _, entry = self._probation.popitem(last=False)
@@ -248,12 +205,7 @@ class HotSetCache:
             self._bytes -= entry[1]
             self._evictions += 1
 
-    def get_or_load(
-        self,
-        key: Hashable,
-        loader: Callable[[], object],
-        nbytes: Optional[int] = None,
-    ) -> object:
+    def get_or_load(self, key: Hashable, loader: Callable[[], object]) -> object:
         """Return the cached value, loading (once) on a miss.
 
         Concurrent callers missing on the same key share one loader
@@ -278,7 +230,7 @@ class HotSetCache:
                     return value
                 self._misses += 1
             value = loader()
-            self.put(key, value, nbytes=nbytes)
+            self.put(key, value)
             return value
 
         return self._loads.do(key, load)
@@ -314,7 +266,7 @@ class HotSetCache:
                 "coalesced_loads": self._loads.shared,
                 "bytes": self._bytes,
                 "entries": len(self._probation) + len(self._protected),
-                "budget_bytes": self.budget.total_bytes,
+                "budget_bytes": self.budget_bytes,
                 "hit_ratio": (hits / lookups) if lookups else 0.0,
             }
 

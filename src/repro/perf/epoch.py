@@ -1,11 +1,10 @@
-"""Monotone epoch counters: O(1) cache invalidation for mutable state.
+"""Monotone epoch counter: O(1) cache invalidation for a mutable store.
 
-Every mutable unit of the store (each shard's deletion bitmaps, the
-LogStore, the store-level routing state) carries one :class:`Epoch`.
-Cache keys embed the epoch value at read time, so bumping the epoch on
-mutation makes every previously cached entry for that unit unreachable
-in one increment -- the stale generation is never *scanned*, it is
-garbage the byte-budgeted LRU evicts as new entries arrive.
+The store carries one :class:`Epoch`, bumped by every mutation. Cache
+keys embed the epoch value at read time, so one bump makes every
+previously cached entry unreachable -- the stale generation is never
+*scanned*, it is garbage the byte-budgeted LRU evicts as new entries
+arrive.
 
 The counter is deliberately tiny: a lock plus an int. Readers may call
 :attr:`Epoch.value` without the lock (an int load is atomic under the

@@ -28,15 +28,12 @@ from __future__ import annotations
 
 # zipg: hot-path
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.succinct.stats import AccessStats
-
-if TYPE_CHECKING:
-    from repro.perf.cache import HotSetCache
 
 SENTINEL = 0  # same exclusion as SuccinctFile: keeps codecs swappable
 
@@ -73,34 +70,6 @@ class OffsetArrayFile:
         self._width = max(1, int(self._alphabet.size - 1).bit_length())
         codes = np.searchsorted(self._alphabet, symbols).astype(np.uint16)
         self._packed = _bitpack(codes, self._width)
-        self._init_cache_state()
-
-    def _init_cache_state(self) -> None:
-        from repro.perf.cache import new_cache_tag
-
-        self._cache = None
-        self._cache_epoch_of: Optional[Callable[[], int]] = None
-        self._cache_tag = new_cache_tag()
-
-    # ------------------------------------------------------------------
-    # Hot-set cache (repro.perf) -- same seam as SuccinctFile
-    # ------------------------------------------------------------------
-
-    def attach_cache(
-        self,
-        cache: "HotSetCache",
-        epoch_of: Optional[Callable[[], int]] = None,
-    ) -> None:
-        """Front ``extract``/``search`` with a :class:`HotSetCache`."""
-        self._cache = cache
-        self._cache_epoch_of = epoch_of
-
-    def detach_cache(self) -> None:
-        self._cache = None
-        self._cache_epoch_of = None
-
-    def _cache_epoch(self) -> int:
-        return self._cache_epoch_of() if self._cache_epoch_of is not None else 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -163,15 +132,6 @@ class OffsetArrayFile:
     def extract(self, offset: int, length: int) -> bytes:
         """``length`` bytes of the input starting at ``offset``."""
         length = self._check_extract(offset, length)
-        cache = self._cache
-        if cache is None:
-            return self._extract_uncached(offset, length)
-        key = ("of", self._cache_tag, self._cache_epoch(), "x", offset, length)
-        return cache.get_or_load(
-            key, lambda: self._extract_uncached(offset, length)
-        )
-
-    def _extract_uncached(self, offset: int, length: int) -> bytes:
         self.stats.random_accesses += 1
         self.stats.sequential_bytes += length
         return self._decode(offset, length).tobytes()  # zipg: owned-copy
@@ -260,19 +220,6 @@ class OffsetArrayFile:
         numpy work, the cost side of the Log(Graph)-style trade.
         """
         pattern = bytes(pattern)  # zipg: owned-copy
-        cache = self._cache
-        if cache is None:
-            return self._search_uncached(pattern)
-
-        def _load() -> np.ndarray:
-            result = self._search_uncached(pattern)
-            result.setflags(write=False)
-            return result
-
-        key = ("of", self._cache_tag, self._cache_epoch(), "s", pattern)
-        return cache.get_or_load(key, _load)
-
-    def _search_uncached(self, pattern: bytes) -> np.ndarray:
         self.stats.searches += 1
         n = self._input_size
         m = len(pattern)
@@ -333,7 +280,6 @@ class OffsetArrayFile:
         instance.stats = stats if stats is not None else AccessStats()
         instance._alphabet = unpack_array(sections["alphabet"])
         instance._packed = unpack_array(sections["packed"])
-        instance._init_cache_state()
         return instance
 
     @classmethod

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 # zipg: hot-path
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from repro.succinct.bitvector import BitVector
 from repro.succinct.npa import NextPointerArray
 from repro.succinct.stats import AccessStats
 from repro.succinct.suffix_array import build_suffix_array, inverse_permutation
-
-if TYPE_CHECKING:
-    from repro.perf.cache import HotSetCache
 
 SENTINEL = 0  # terminal byte appended to every file; may not occur in input
 
@@ -86,42 +83,6 @@ class SuccinctFile:
         self._sa_samples = suffix_array[sampled_rows].copy()
         # Position-based ISA sampling: ISA of text positions 0, alpha, 2*alpha...
         self._isa_samples = isa[np.arange(0, n, alpha)].copy()
-        self._init_cache_state()
-
-    def _init_cache_state(self) -> None:
-        from repro.perf.cache import new_cache_tag
-
-        self._cache = None
-        self._cache_epoch_of: Optional[Callable[[], int]] = None
-        self._cache_tag = new_cache_tag()
-
-    # ------------------------------------------------------------------
-    # Hot-set cache (repro.perf)
-    # ------------------------------------------------------------------
-
-    def attach_cache(
-        self,
-        cache: "HotSetCache",
-        epoch_of: Optional[Callable[[], int]] = None,
-    ) -> None:
-        """Front ``extract``/``search`` with a :class:`HotSetCache`.
-
-        Args:
-            cache: the shared :class:`repro.perf.HotSetCache`.
-            epoch_of: callable returning the owning structure's current
-                epoch; embedded in every key so mutations invalidate in
-                O(1). ``None`` pins the epoch to 0 (this file's own
-                structures are immutable).
-        """
-        self._cache = cache
-        self._cache_epoch_of = epoch_of
-
-    def detach_cache(self) -> None:
-        self._cache = None
-        self._cache_epoch_of = None
-
-    def _cache_epoch(self) -> int:
-        return self._cache_epoch_of() if self._cache_epoch_of is not None else 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -232,16 +193,6 @@ class SuccinctFile:
         regardless of ``length`` instead of once per byte.
         """
         length = self._check_extract(offset, length)
-        cache = self._cache
-        if cache is None:
-            return self._extract_uncached(offset, length)
-        key = ("sf", self._cache_tag, self._cache_epoch(), "x", offset, length)
-        return cache.get_or_load(
-            key, lambda: self._extract_uncached(offset, length)
-        )
-
-    def _extract_uncached(self, offset: int, length: int) -> bytes:
-        """The pre-cache ``extract`` body (``length`` already checked)."""
         self.stats.random_accesses += 1
         self.stats.sequential_bytes += length
         if length == 0:
@@ -315,37 +266,12 @@ class SuccinctFile:
         substrings are decoded -- the batch analogue of amortized batch
         decoding in compressed-graph kernels. Returns the substrings in
         request order; byte-identical to per-request :meth:`extract`.
+        When the whole batch is below the extract cutoff the requests
+        decode scalar instead.
         """
         clean = []
         for offset, length in requests:
             clean.append((offset, self._check_extract(offset, length)))
-        cache = self._cache
-        if cache is None:
-            return self._extract_batch_uncached(clean)
-        # Per-request lookup; only the misses go through one kernel call.
-        tag = self._cache_tag
-        epoch = self._cache_epoch()
-        results: List[bytes] = [b""] * len(clean)
-        missing: List[int] = []
-        for index, (offset, length) in enumerate(clean):
-            hit, value = cache.get(("sf", tag, epoch, "x", offset, length))
-            if hit:
-                results[index] = value
-            else:
-                missing.append(index)
-        if missing:
-            fetched = self._extract_batch_uncached([clean[i] for i in missing])
-            for index, value in zip(missing, fetched):
-                offset, length = clean[index]
-                cache.put(("sf", tag, epoch, "x", offset, length), value)
-                results[index] = value
-        return results
-
-    def _extract_batch_uncached(self, clean: Sequence[Tuple[int, int]]) -> List[bytes]:
-        """The pre-cache ``extract_batch`` body (lengths already
-        checked): one lockstep walk over every non-empty request, or
-        scalar decodes when the whole batch is below the extract
-        cutoff."""
         self.stats.random_accesses += len(clean)
         total = sum(length for _, length in clean)
         self.stats.sequential_bytes += total
@@ -473,23 +399,6 @@ class SuccinctFile:
         ``_lookup_sa`` loop.
         """
         pattern = bytes(pattern)  # zipg: owned-copy
-        cache = self._cache
-        if cache is None:
-            return self._search_uncached(pattern)
-
-        def _load() -> np.ndarray:
-            result = self._search_uncached(pattern)
-            # The same array object is handed to every future hit, so
-            # freeze it: a caller mutating a shared result would
-            # corrupt everyone else's view.
-            result.setflags(write=False)
-            return result
-
-        key = ("sf", self._cache_tag, self._cache_epoch(), "s", pattern)
-        return cache.get_or_load(key, _load)
-
-    def _search_uncached(self, pattern: bytes) -> np.ndarray:
-        """The pre-cache ``search`` body."""
         self.stats.searches += 1
         low, high = self._pattern_row_range(pattern)
         count = high - low
@@ -577,7 +486,6 @@ class SuccinctFile:
             unpack_array(sections["bucket_chars"]),
             unpack_array(sections["bucket_starts"]),
         )
-        instance._init_cache_state()
         return instance
 
     @classmethod

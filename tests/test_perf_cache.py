@@ -13,10 +13,11 @@ from repro import chaos, obs
 from repro.chaos import ChaosInjector, FaultRule, SimulatedCrash
 from repro.cluster.replication import ReplicatedZipGCluster
 from repro.core import GraphData, ZipG
+from repro.core.model import EdgeData
 from repro.core.persistence import attach_wal, load_store, save_store
 from repro.perf import (
     ENTRY_OVERHEAD_BYTES,
-    CacheBudget,
+    PROTECTED_FRACTION,
     Epoch,
     HotSetCache,
     estimate_size,
@@ -56,16 +57,13 @@ def build_store(**kwargs):
 class TestCacheBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CacheBudget(0)
+            HotSetCache(0)
         with pytest.raises(ValueError):
-            CacheBudget(-5)
-        with pytest.raises(ValueError):
-            CacheBudget(100, protected_fraction=0.0)
-        with pytest.raises(ValueError):
-            CacheBudget(100, protected_fraction=1.0)
+            HotSetCache(-5)
 
     def test_protected_bytes(self):
-        assert CacheBudget(1000, protected_fraction=0.8).protected_bytes == 800
+        cache = HotSetCache(1000)
+        assert (cache.budget_bytes, cache.protected_bytes) == (1000, 800)
 
 
 class TestEstimateSize:
@@ -86,6 +84,11 @@ class TestEstimateSize:
 
     def test_fallback_for_exotic_objects(self):
         assert estimate_size(object()) > 0
+
+    def test_dataclasses_recurse_into_fields(self):
+        # A cached find_edges result is a list of (src, etype, EdgeData):
+        # each entry must pay for its property dict, not a flat 48 B.
+        assert estimate_size(EdgeData(1, 2, {"k": "v" * 1000})) > 1000
 
 
 class TestEpoch:
@@ -134,8 +137,10 @@ class TestHotSetCache:
 
     def test_rereferenced_entry_survives_scan(self):
         # A promoted (twice-touched) entry must outlive a one-touch
-        # scan that is much larger than the whole budget.
-        cache = HotSetCache(CacheBudget(10 * _ENTRY, protected_fraction=0.5))
+        # scan that is much larger than the whole budget. At the 0.8
+        # protected fraction, probation keeps room for two entries.
+        cache = HotSetCache(10 * _ENTRY)
+        assert cache.protected_bytes == int(10 * _ENTRY * PROTECTED_FRACTION)
         cache.put("hot", _PAYLOAD)
         assert cache.get("hot")[0]  # promote to protected
         for i in range(100):
@@ -191,14 +196,14 @@ class TestHotSetCache:
 
         real_put = cache.put
 
-        def put_with_late_caller(key, value, nbytes=None):
+        def put_with_late_caller(key, value):
             if not callers:  # a second caller arrives as the leader caches
                 callers.append(threading.Thread(
                     target=lambda: late.append(cache.get_or_load(key, loader))
                 ))
                 callers[0].start()
                 callers[0].join(0.2)
-            return real_put(key, value, nbytes=nbytes)
+            return real_put(key, value)
 
         monkeypatch.setattr(cache, "put", put_with_late_caller)
         assert cache.get_or_load("k", loader) == "value"
@@ -219,7 +224,7 @@ class TestHotSetCache:
         assert cache.get("k") == (False, None)  # nothing cached
 
     def test_metrics_exported_through_obs(self):
-        cache = HotSetCache(1 << 16, name="test")
+        cache = HotSetCache(1 << 16)
         cache.put("k", _PAYLOAD)
         cache.get("k")
         cache.get("absent")
@@ -254,6 +259,10 @@ def _assert_agree(cached, oracle):
         if oracle.has_node(node):
             assert cached.get_node_property(node) == \
                 oracle.get_node_property(node), node
+            # Read after the wildcard: the property subset is part of
+            # the key, so this must not be answered with all properties.
+            assert cached.get_node_property(node, ["city"]) == \
+                oracle.get_node_property(node, ["city"]), node
         for edge_type in (0, 1):
             assert cached.get_neighbor_ids(node, edge_type) == \
                 oracle.get_neighbor_ids(node, edge_type), (node, edge_type)
@@ -276,8 +285,9 @@ class TestStoreEpochInvalidation:
         lambda s: s.delete_edge(1, 0, 2),
         lambda s: s.delete_node(3),
         lambda s: s.update_node(2, {"name": "Bobby", "city": "Ithaca"}),
+        lambda s: s.update_edge(1, 0, 2, timestamp=150, properties={"w": "7"}),
     ], ids=["append_node", "append_edge", "delete_edge", "delete_node",
-            "update_node"])
+            "update_node", "update_edge"])
     def test_mutation_invalidates_cached_reads(self, mutate):
         cached, oracle = _twin_stores()
         _assert_agree(cached, oracle)  # warm every cached read path
