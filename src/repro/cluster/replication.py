@@ -38,9 +38,11 @@ failures surface as retryable
 Writes replicate: each mutation is applied locally, assigned a
 monotone cluster LSN, recorded in an in-memory oplog (the WAL record
 vocabulary), and shipped to every live server as an ``apply_write``
-RPC.  :meth:`ReplicatedZipGCluster.recover_server` holds a returning
-server out of rotation (``catching_up_servers``) until its missed
-tail is replayed; a failed replay sends it back to down.  Rotation,
+RPC tagged with this cluster's random stream id, so a replica applies
+a resent record once and a restarted master's LSNs start afresh.
+:meth:`ReplicatedZipGCluster.recover_server` holds a returning server
+out of rotation (``catching_up_servers``) until its missed tail is
+replayed; a failed replay sends it back to down.  Rotation,
 down-server, and catch-up state share one lock; writes and catch-up
 serialize on a write lock taken *before* it.
 
@@ -63,6 +65,7 @@ chaos site), a top-up replay, and only then re-admission.  Lock order:
 
 from __future__ import annotations
 
+import secrets
 import threading
 import time
 from dataclasses import dataclass, field
@@ -191,12 +194,14 @@ class ReplicatedZipGCluster(ZipGCluster):
         self._state_lock = threading.Lock()
         self._down: Set[int] = set()
         self._rotation: Dict[int, int] = {}
-        # Replicated-write state: a monotone cluster LSN, the in-memory
-        # oplog of (lsn, op, args) in WAL vocabulary, what each server
-        # has acknowledged, and which servers are replaying a missed
-        # tail (held out of read rotation). Lock order: _write_lock
-        # before _state_lock, never the reverse.
+        # Replicated-write state: this cluster's stream id (replicas
+        # dedupe resent records per stream), a monotone cluster LSN,
+        # the in-memory oplog of (lsn, op, args) in WAL vocabulary, what
+        # each server has acknowledged, and which servers are replaying
+        # a missed tail (held out of read rotation). Lock order:
+        # _write_lock before _state_lock, never the reverse.
         self._write_lock = threading.Lock()
+        self._stream = secrets.randbits(62)
         self._commit_lsn = 0
         self._oplog: List[Tuple[int, str, List]] = []
         self._applied_lsn: Dict[int, int] = {
@@ -373,7 +378,8 @@ class ReplicatedZipGCluster(ZipGCluster):
         for lsn, op, args in self._oplog:
             if lsn <= applied:
                 continue
-            self.transport.call(server_id, "apply_write", [lsn, op, list(args)])
+            self.transport.call(server_id, "apply_write", [lsn, op, list(args)],
+                                kwargs={"stream": self._stream})
             self._applied_lsn[server_id] = lsn
 
     def _rebuild_and_admit(self, server_id: int) -> None:
@@ -619,6 +625,7 @@ class ReplicatedZipGCluster(ZipGCluster):
                         self.transport.call(
                             server, "apply_write",
                             [lsn, record_op, list(record_args)],
+                            kwargs={"stream": self._stream},
                         )
                         self._applied_lsn[server] = lsn
                     except Exception:

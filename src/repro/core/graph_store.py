@@ -21,8 +21,11 @@ from __future__ import annotations
 # zipg: cache-backed
 
 import bisect
+import threading
 import weakref
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type, TypeVar, Union
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Set, Tuple, Type, TypeVar, Union,
+)
 
 from repro import obs
 from repro.core.delimiters import DelimiterMap
@@ -206,6 +209,27 @@ class EdgeRecord:
         return [entry[1] for entry in self._index]
 
 
+class ReplicaMark:
+    """The last record a replica applied from its master: the master's
+    stream id and the record's LSN. Check, apply and advance run under
+    one lock, so a resend that races the first apply waits for it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._last_stream = 0
+        self._last_lsn = 0
+
+    def apply_once(self, stream: int, lsn: int, apply: Callable[[], None]) -> bool:
+        """Run ``apply`` unless record ``lsn`` of ``stream`` is at or
+        below the mark; True if it ran."""
+        with self._lock:
+            if stream == self._last_stream and lsn <= self._last_lsn:
+                return False
+            apply()
+            self._last_stream, self._last_lsn = stream, lsn
+            return True
+
+
 class ZipG(GraphStoreInterface):
     """A single-logical-store ZipG instance (Table 1 API).
 
@@ -265,6 +289,9 @@ class ZipG(GraphStoreInterface):
         # RPC ops resolve through this mapping; empty means this
         # process holds no fragments.
         self.ec_fragment_stores: Dict[int, object] = {}
+        # Replica side of ``apply_write``: which master records this
+        # store already holds (see apply_replicated_record).
+        self._replica_mark = ReplicaMark()
         # Fan-out failure-semantics knobs (plumbed from the cluster
         # layer); passed to every executor.map a query issues.
         self.retries = 0
@@ -438,30 +465,70 @@ class ZipG(GraphStoreInterface):
         cache = self._cache
         if cache is None:
             return self._node_properties(node_id, wanted)
-        key = ("gs.node", self.epoch.value, node_id,
-               None if wanted is None else tuple(wanted))
+        key = self._node_key(node_id, wanted)
         # Callers own their PropertyList: hand out a copy so the cached
         # dict cannot be mutated behind the cache's back.
         return dict(
             cache.get_or_load(key, lambda: self._node_properties(node_id, wanted))
         )
 
+    def _node_key(self, node_id: int, wanted: Optional[List[str]]) -> Tuple:
+        """Cache key of ``get_node_property(node_id, wanted)``."""
+        return ("gs.node", self.epoch.value, node_id,
+                None if wanted is None else tuple(wanted))
+
     # zipg: span-free  (always runs under get_node_property's span)
     def _node_properties(
         self, node_id: int, wanted: Optional[List[str]]
     ) -> PropertyList:
+        location = self._live_node_location(node_id)
+        if location is None:
+            raise NodeNotFound(node_id)
+        return location.get_properties(node_id, wanted)
+
+    def _live_node_location(self, node_id: int) -> Optional[object]:
+        """The newest store holding a live version of ``node_id``, or
+        None if there is none."""
         for location in self._node_locations_newest_first(node_id):
             if location.node_live(node_id):
-                return location.get_properties(node_id, wanted)
-        raise NodeNotFound(node_id)
+                return location
+        return None
+
+    # zipg: span-free  (always runs under get_neighbor_ids's span)
+    def _live_nodes_properties(
+        self, node_ids: List[int], wanted: List[str]
+    ) -> Dict[int, PropertyList]:
+        """``get_node_property(node, wanted)`` of every live node among
+        ``node_ids``; nodes without a live version are left out.
+
+        Cache hits come from the ``gs.node`` keys. The misses are
+        grouped by the store that holds their newest live version, and
+        each group is read with one batched probe.
+        """
+        cache = self._cache
+        found: Dict[int, PropertyList] = {}
+        groups: Dict[object, List[int]] = {}
+        for node_id in dict.fromkeys(node_ids):
+            if cache is not None:
+                hit, properties = cache.get(self._node_key(node_id, wanted))
+                if hit:
+                    found[node_id] = properties
+                    continue
+            location = self._live_node_location(node_id)
+            if location is not None:
+                groups.setdefault(location, []).append(node_id)
+        for location, members in groups.items():
+            batch = location.get_properties_batch(members, wanted)
+            for node_id, properties in zip(members, batch):
+                found[node_id] = properties
+                if cache is not None:
+                    cache.put(self._node_key(node_id, wanted), properties)
+        return found
 
     @obs.traced("graph_store.has_node", layer="graph_store")
     def has_node(self, node_id: int) -> bool:
         """Whether a live version of ``node_id`` exists anywhere."""
-        return any(
-            location.node_live(node_id)
-            for location in self._node_locations_newest_first(node_id)
-        )
+        return self._live_node_location(node_id) is not None
 
     @obs.traced("graph_store.get_node_ids", layer="graph_store")
     def get_node_ids(self, property_list: PropertyList) -> List[int]:
@@ -504,8 +571,10 @@ class ZipG(GraphStoreInterface):
         """Destinations of ``node_id``'s edges of ``edge_type``,
         optionally filtered by destination-node properties.
 
-        Implemented join-free (§2.2): fetch neighbors, then probe each
-        neighbor's properties by random access.
+        Implemented join-free (§2.2): fetch neighbors, then probe the
+        neighbors' properties by random access -- one batched probe per
+        store that holds some of them. The result keeps the neighbor
+        order and duplicates.
         """
         cache = self._cache
         if cache is None:
@@ -520,17 +589,13 @@ class ZipG(GraphStoreInterface):
             )
         if not property_list:
             return destinations
-        matches = []
-        for destination in destinations:
-            try:
-                properties = self.get_node_property(
-                    destination, list(property_list)
-                )
-            except NodeNotFound:
-                continue
-            if all(properties.get(k) == v for k, v in property_list.items()):
-                matches.append(destination)
-        return matches
+        found = self._live_nodes_properties(destinations, list(property_list))
+        return [
+            destination
+            for destination in destinations
+            if destination in found
+            and all(found[destination].get(k) == v for k, v in property_list.items())
+        ]
 
     # ------------------------------------------------------------------
     # Edge queries (Table 1)
@@ -807,6 +872,22 @@ class ZipG(GraphStoreInterface):
             from repro.core.errors import RecoveryError
 
             raise RecoveryError(f"unknown WAL record op {op!r}")
+
+    def apply_replicated_record(
+        self, stream: int, lsn: int, op: str, args: List
+    ) -> bool:
+        """Apply record ``lsn`` of master ``stream``'s replication log
+        once; True if it was applied now.
+
+        A record at or below the last LSN applied from the same stream
+        is already held -- its ack was lost and the master's catch-up
+        resent it -- so it is skipped. The resend may arrive on another
+        connection while the first apply still runs, hence the lock. A
+        new stream (a restarted master numbers its writes from 1 again)
+        starts a new mark instead of being skipped."""
+        return self._replica_mark.apply_once(
+            stream, lsn, lambda: self.apply_wal_record(op, args)
+        )
 
     @obs.traced("graph_store.update_node", layer="graph_store")
     def update_node(self, node_id: int, properties: PropertyList) -> None:

@@ -202,7 +202,14 @@ class LogStore:
         properties = self._nodes[node_id]
         if property_ids is None:
             return dict(properties)
-        return {pid: properties[pid] for pid in property_ids if pid in properties}
+        return _subset(properties, property_ids)
+
+    def get_properties_batch(
+        self, node_ids: List[int], property_ids: List[str]
+    ) -> List[PropertyList]:
+        """``get_properties(node, property_ids)`` of every node, in order."""
+        self.stats.random_accesses += len(node_ids)
+        return [_subset(self._nodes[node_id], property_ids) for node_id in node_ids]
 
     def get_property(self, node_id: int, property_id: str) -> Optional[str]:
         self.stats.random_accesses += 1
@@ -362,3 +369,8 @@ class LogStore:
             for (k, v), nodes in self._value_index.items()
         )
         return self._size_bytes + index_overhead
+
+
+def _subset(properties: PropertyList, property_ids: List[str]) -> PropertyList:
+    """The set ``property_ids`` of ``properties``, in request order."""
+    return {pid: properties[pid] for pid in property_ids if pid in properties}

@@ -21,7 +21,8 @@ Layout (Figure 1). Three data structures:
 ``get_node_property`` is two array lookups plus one small ``extract``
 for the length prefix and one for the value itself; ``get_node_ids``
 brackets the value between its PropertyID's delimiter and the next
-lexicographically larger delimiter and runs Succinct ``search`` (§3.4).
+lexicographically larger delimiter and runs Succinct ``search`` (§3.4),
+one ``search_batch`` for all pairs of a query.
 """
 
 from __future__ import annotations
@@ -136,34 +137,18 @@ class NodeFile:
             return start, int(self._offsets[index + 1]) - 1
         return start, len(self._file) - 1
 
-    def _offset_to_node(self, offset: int) -> int:
-        index = int(np.searchsorted(self._offsets, offset, side="right")) - 1
-        return int(self._node_ids[index])
+    def _record_indexes(self, offsets: np.ndarray) -> np.ndarray:
+        """Directory position of the record holding each file offset,
+        for all offsets in one ``searchsorted``."""
+        return np.searchsorted(self._offsets, offsets, side="right") - 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    # zipg: layout-parser[node-record]
     def get_property(self, node_id: int, property_id: str) -> Optional[str]:
         """Value of one property for ``node_id`` (None if unset)."""
-        record, _ = self._record_span(node_id)
-        order = self._delimiters.order_of(property_id)
-        width = self._len_width
-        # One extract for the length fields up to and including ours...
-        length_bytes = self._file.extract(record, (order + 1) * width)
-        lengths = [
-            int(length_bytes[k * width : (k + 1) * width]) for k in range(order + 1)
-        ]
-        if lengths[order] == 0:
-            return None
-        # ...then one extract for the value, whose start we can now compute.
-        payload_start = record + len(self._delimiters) * width
-        delim_width = self._delimiters.delimiter_width
-        value_start = (
-            payload_start + sum(lengths[:order]) + (order + 1) * delim_width
-        )
-        return self._file.extract(value_start, lengths[order]).decode("utf-8")
+        return self.get_properties_batch([node_id], [property_id])[0].get(property_id)
 
     # zipg: layout-parser[node-record]
     @obs.traced("nodefile.get_properties", layer="nodefile")
@@ -173,71 +158,94 @@ class NodeFile:
         """PropertyList of ``node_id`` (all properties, or a subset).
 
         The wildcard path reads the whole record with one ``extract``
-        (its end is the next record's offset). The subset path reads the
-        length-field block once and then fetches every requested value
-        through one ``extract_batch`` call (a single lockstep NPA walk),
-        instead of two extracts per property.
+        (its end is the next record's offset). The subset path is a
+        one-node :meth:`get_properties_batch`: the length fields, then
+        every requested value through one ``extract_batch`` call.
         """
+        if property_ids is not None:
+            return self.get_properties_batch([node_id], property_ids)[0]
+        # Wildcard: the record's payload in one extract (it runs from
+        # past the fixed-size length fields to the record's end) split
+        # on its delimiters; a bare delimiter is an absent value
+        # (Fig. 1), so the length fields need not be read.
+        start, end = self._record_span(node_id)
+        payload_start = start + len(self._delimiters) * self._len_width
+        return self._delimiters.parse_values(
+            self._file.extract(payload_start, end - payload_start)
+        )
+
+    # zipg: layout-parser[node-record]
+    @obs.traced("nodefile.get_properties_batch", layer="nodefile")
+    def get_properties_batch(
+        self, node_ids: List[int], property_ids: List[str]
+    ) -> List[PropertyList]:
+        """``get_properties(node, property_ids)`` of every node, in
+        order, from two ``extract_batch`` calls: one for the nodes'
+        length fields (only up to the highest wanted property), one for
+        all the wanted values."""
+        results: List[PropertyList] = [{} for _ in node_ids]
+        if not node_ids or not property_ids:
+            return results
         width = self._len_width
-        count = len(self._delimiters)
-        if property_ids is None:
-            # Wildcard: the record's payload in one extract (it runs from
-            # past the fixed-size length fields to the record's end) split
-            # on its delimiters; a bare delimiter is an absent value
-            # (Fig. 1), so the length fields need not be read.
-            start, end = self._record_span(node_id)
-            payload_start = start + count * width
-            return self._delimiters.parse_values(
-                self._file.extract(payload_start, end - payload_start)
-            )
-        record, _ = self._record_span(node_id)
-        length_bytes = self._file.extract(record, count * width)
-        lengths = [int(length_bytes[k * width : (k + 1) * width]) for k in range(count)]
-        payload_start = record + count * width
+        orders = [self._delimiters.order_of(pid) for pid in property_ids]
+        top = max(orders) + 1
+        self.stats.random_accesses += len(node_ids)  # NodeID -> offset lookups
+        offsets = self._offsets
+        records = [int(offsets[self.node_index(n)]) for n in node_ids]
+        length_blocks = self._file.extract_batch(
+            [(record, top * width) for record in records]
+        )
+        skip = len(self._delimiters) * width
         delim_width = self._delimiters.delimiter_width
-        prefix = [0]
-        for length in lengths:
-            prefix.append(prefix[-1] + length)
-        wanted = []
         requests = []
-        for property_id in property_ids:
-            order = self._delimiters.order_of(property_id)
-            if lengths[order] == 0:
-                continue
-            value_start = (
-                payload_start + prefix[order] + (order + 1) * delim_width
-            )
-            wanted.append(property_id)
-            requests.append((value_start, lengths[order]))
-        values = self._file.extract_batch(requests)
-        return {
-            property_id: value.decode("utf-8")
-            for property_id, value in zip(wanted, values)
-        }
+        slots = []  # (result index, PropertyID) of each request
+        for index, (record, block) in enumerate(zip(records, length_blocks)):
+            for property_id, order in zip(property_ids, orders):
+                length = int(block[order * width : (order + 1) * width])
+                if length:
+                    preceding = _sum_fields(block, order, width)
+                    start = record + skip + preceding + (order + 1) * delim_width
+                    requests.append((start, length))
+                    slots.append((index, property_id))
+        for (index, property_id), value in zip(
+            slots, self._file.extract_batch(requests)
+        ):
+            results[index][property_id] = value.decode("utf-8")
+        return results
 
     @obs.traced("nodefile.find_nodes", layer="nodefile")
     def find_nodes(self, properties: PropertyList) -> List[int]:
         """NodeIDs whose PropertyList matches every (pid, value) pair.
 
-        Each pair becomes one Succinct ``search`` with the value
-        bracketed between its delimiter and the next one; multiple pairs
-        intersect (§3.4). An empty ``properties`` matches every node.
+        Each pair becomes one search pattern with the value bracketed
+        between its delimiter and the next one (§3.4). All patterns go
+        to one ``search_batch`` (a pattern with no occurrence ends the
+        search before any offset is resolved), every hit maps to its
+        record in one ``searchsorted``, and the pairs' record sets
+        intersect. An empty ``properties`` matches every node.
         """
         if not properties:
             return self._node_ids.tolist()
+        patterns = [
+            self._delimiters.delimiter_of(property_id)
+            + value.encode("utf-8")
+            + self._delimiters.next_delimiter_after(property_id)
+            for property_id, value in properties.items()
+        ]
+        hits = self._file.search_batch(patterns)
+        if not len(hits[0]):
+            return []
+        # A pattern hits a few dozen records per shard: plain-int sets
+        # intersect them faster than numpy's per-call setup.
+        indexes = self._record_indexes(np.concatenate(hits)).tolist()
         result: Optional[set] = None
-        for property_id, value in properties.items():
-            pattern = (
-                self._delimiters.delimiter_of(property_id)
-                + value.encode("utf-8")
-                + self._delimiters.next_delimiter_after(property_id)
-            )
-            offsets = self._file.search(pattern)
-            matches = {self._offset_to_node(int(offset)) for offset in offsets}
+        start = 0
+        for offsets in hits:
+            matches = set(indexes[start : start + len(offsets)])
+            start += len(offsets)
             result = matches if result is None else result & matches
-            if not result:
-                return []
-        return sorted(result)
+        ids = self._node_id_list
+        return [ids[index] for index in sorted(result)]
 
     @obs.traced("nodefile.find_nodes_by_prefix", layer="nodefile")
     def find_nodes_by_prefix(self, property_id: str, prefix: str) -> List[int]:
@@ -249,15 +257,17 @@ class NodeFile:
         """
         pattern = self._delimiters.delimiter_of(property_id) + prefix.encode("utf-8")
         offsets = self._file.search(pattern)
-        matches = set()
-        for offset in offsets:
-            node_id = self._offset_to_node(int(offset))
-            if prefix == "":
-                # A bare delimiter also matches absent values; verify.
-                if self.get_property(node_id, property_id) is None:
-                    continue
-            matches.add(node_id)
-        return sorted(matches)
+        node_ids = self._node_ids[np.unique(self._record_indexes(offsets))].tolist()
+        if prefix == "":
+            # A bare delimiter also matches absent values; verify.
+            return [
+                node_id
+                for node_id, properties in zip(
+                    node_ids, self.get_properties_batch(node_ids, [property_id])
+                )
+                if properties
+            ]
+        return node_ids
 
     # ------------------------------------------------------------------
     # Binary serialization (§4.1)
@@ -314,3 +324,14 @@ class NodeFile:
         """Compressed footprint: Succinct file + NodeID/offset arrays."""
         directory = self._node_ids.nbytes + self._offsets.nbytes
         return self._file.serialized_size_bytes() + directory
+
+
+def _sum_fields(block: bytes, count: int, width: int) -> int:
+    """Sum of the first ``count`` fixed-width ASCII decimal fields of
+    ``block``, digit position by digit position: ``width`` strided
+    slices instead of ``count`` integer parses."""
+    end = count * width
+    return sum(
+        (sum(block[position:end:width]) - ord("0") * count) * 10 ** (width - 1 - position)
+        for position in range(width)
+    )

@@ -130,6 +130,11 @@ class CompressedShard:
     ) -> PropertyList:
         return self.node_file.get_properties(node_id, property_ids)
 
+    def get_properties_batch(
+        self, node_ids: List[int], property_ids: List[str]
+    ) -> List[PropertyList]:
+        return self.node_file.get_properties_batch(node_ids, property_ids)
+
     def get_property(self, node_id: int, property_id: str) -> Optional[str]:
         return self.node_file.get_property(node_id, property_id)
 

@@ -16,11 +16,12 @@ storage unit the operation targets --
 
 ``apply_write`` is the replication op: the master applies a mutation
 locally, then ships ``(lsn, op, args)`` -- the exact WAL record
-vocabulary -- to each replica, which applies it via
-``ZipG.apply_wal_record``.  A server fronting the *same* store object
-as the master (the in-process backend, and the loopback harness's
-shared-store mode) must acknowledge without re-applying, or every
-write would land twice; ``apply_writes=False`` selects that mode.
+vocabulary -- and its ``stream`` id to each replica, which applies it
+once via ``ZipG.apply_replicated_record``.  A server fronting the
+*same* store object as the master (the in-process backend, and the
+loopback harness's shared-store mode) must acknowledge without
+re-applying, or every write would land twice; ``apply_writes=False``
+selects that mode.
 """
 # zipg: robust-path
 
@@ -188,12 +189,19 @@ def _ec_has_fragment(ctx: _Context, server_id: int, name: str, index: int,
 
 
 @_op("apply_write")
-def _apply_write(ctx: _Context, lsn: int, op: str, args: List[object]) -> int:
+def _apply_write(ctx: _Context, lsn: int, op: str, args: List[object],
+                 stream: int) -> int:
     """Apply one replicated mutation; returns the LSN as the ack.
 
     Uses the WAL replay path (``apply_wal_record``): replicas must not
     re-log or auto-freeze -- freezes replicate as explicit ``freeze``
-    records from the master, keeping shard inventories aligned."""
+    records from the master, keeping shard inventories aligned.
+
+    ``stream`` names the sending master process. A record this replica
+    already applied from that stream (its ack was lost and the master's
+    catch-up resent it) is acknowledged without being applied twice
+    (``ZipG.apply_replicated_record``)."""
+    lsn = int(lsn)
     if ctx.apply_writes:
-        ctx.store.apply_wal_record(op, list(args))
-    return int(lsn)
+        ctx.store.apply_replicated_record(int(stream), lsn, op, list(args))
+    return lsn

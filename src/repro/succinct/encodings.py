@@ -75,6 +75,8 @@ class ShardEncoding(Protocol):
 
     def search(self, pattern: bytes) -> np.ndarray: ...
 
+    def search_batch(self, patterns: Sequence[bytes]) -> List[np.ndarray]: ...
+
     def decompress(self) -> bytes: ...
 
     def original_size_bytes(self) -> int: ...

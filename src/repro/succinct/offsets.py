@@ -219,25 +219,44 @@ class OffsetArrayFile:
         file and roll an equality mask across it -- O(n * len(pattern))
         numpy work, the cost side of the Log(Graph)-style trade.
         """
-        pattern = bytes(pattern)  # zipg: owned-copy
-        self.stats.searches += 1
+        return self.search_batch([pattern])[0]
+
+    @obs.traced("succinct.search_batch", layer="succinct")
+    def search_batch(self, patterns: Sequence[bytes]) -> List[np.ndarray]:
+        """Offsets (ascending) of every pattern, in pattern order, for a
+        conjunctive search: equal to ``[search(p) for p in patterns]``
+        when every pattern occurs, and all empty when one does not.
+
+        The file is decoded once and every pattern scans that one
+        decode; the first pattern that does not occur ends the scan.
+        """
+        patterns = [bytes(pattern) for pattern in patterns]  # zipg: owned-copy
+        self.stats.searches += len(patterns)
         n = self._input_size
-        m = len(pattern)
-        if m == 0:
-            # Parity with SuccinctFile: the empty pattern matches every
-            # row of the conceptual suffix matrix (n + 1 of them).
-            return np.arange(n + 1, dtype=np.int64)
-        if SENTINEL in pattern:
-            raise ValueError("patterns must not contain the sentinel byte 0x00")
-        if m > n:
-            return np.empty(0, dtype=np.int64)
-        decoded = self._decode(0, n)
-        matches = np.ones(n - m + 1, dtype=bool)
-        for index, char in enumerate(pattern):
-            matches &= decoded[index : n - m + 1 + index] == char
-        hits = np.nonzero(matches)[0].astype(np.int64)
-        self.stats.random_accesses += len(hits)
-        return hits
+        decoded: Optional[np.ndarray] = None
+        results: List[np.ndarray] = []
+        for pattern in patterns:
+            m = len(pattern)
+            if m == 0:
+                # Parity with SuccinctFile: the empty pattern matches every
+                # row of the conceptual suffix matrix (n + 1 of them).
+                results.append(np.arange(n + 1, dtype=np.int64))
+                continue
+            if SENTINEL in pattern:
+                raise ValueError("patterns must not contain the sentinel byte 0x00")
+            hits = np.empty(0, dtype=np.int64)
+            if m <= n:
+                if decoded is None:
+                    decoded = self._decode(0, n)
+                matches = np.ones(n - m + 1, dtype=bool)
+                for index, char in enumerate(pattern):
+                    matches &= decoded[index : n - m + 1 + index] == char
+                hits = np.nonzero(matches)[0].astype(np.int64)
+            if not len(hits):
+                return [np.empty(0, dtype=np.int64) for _ in patterns]
+            self.stats.random_accesses += len(hits)
+            results.append(hits)
+        return results
 
     def decompress(self) -> bytes:
         """Reconstruct the full original input (diagnostic helper)."""

@@ -8,6 +8,9 @@ returned stale data.  Recovery now replays the missed oplog tail
 a replica whose replay fails goes back to down.
 """
 
+import threading
+import time
+
 import pytest
 
 from conftest import TransportHook, chaos_seeds
@@ -282,6 +285,135 @@ class TestCatchUpOverRpc:
                 201, ("name",)) == {"name": "missed"}
             assert loopback.servers[1].store.get_neighbor_ids(200) == \
                 loopback.servers[0].store.get_neighbor_ids(200)
+
+
+class LostAck(TransportHook):
+    """Forwards every call, then raises :class:`TransportError` after
+    server ``server``'s first ``apply_write`` has been applied -- the
+    replica holds the write, the master never hears its ack."""
+
+    def __init__(self, cluster, server):
+        super().__init__(cluster)
+        self.server = server
+        self.dropped = False
+
+    def call(self, server_id, method, args, unit=None, kwargs=None):
+        result = super().call(server_id, method, args, unit=unit, kwargs=kwargs)
+        if (server_id == self.server and method == "apply_write"
+                and not self.dropped):
+            self.dropped = True
+            raise TransportError(f"ack from server {server_id} lost")
+        return result
+
+
+class TimedOutAck(TransportHook):
+    """Server ``server``'s first ``apply_write`` times out on the
+    master's side while the replica is still applying it: the call runs
+    on in ``self.first``, and the master sees :class:`TransportError`
+    once the apply has started."""
+
+    def __init__(self, cluster, server, started):
+        super().__init__(cluster)
+        self.server = server
+        self.started = started
+        self.first = None
+
+    def call(self, server_id, method, args, unit=None, kwargs=None):
+        if (server_id != self.server or method != "apply_write"
+                or self.first is not None):
+            return super().call(server_id, method, args, unit=unit,
+                                kwargs=kwargs)
+        self.first = threading.Thread(
+            target=super().call, args=(server_id, method, args),
+            kwargs={"unit": unit, "kwargs": kwargs})
+        self.first.start()
+        assert self.started.wait(10)
+        raise TransportError(f"apply_write on server {server_id} timed out")
+
+
+def lost_ack_setup():
+    master = ZipG.compress(build_graph(), num_shards=2, alpha=8,
+                           logstore_threshold_bytes=1 << 20)
+
+    def replica_factory(server_id):
+        return ZipG.compress(build_graph(), num_shards=2, alpha=8,
+                             logstore_threshold_bytes=1 << 20)
+
+    cluster = ReplicatedZipGCluster(master, num_servers=2,
+                                    replication_factor=2)
+    loopback = LoopbackCluster(master, num_servers=2,
+                               replica_factory=replica_factory)
+    return master, cluster, loopback
+
+
+class TestLostAck:
+    def test_resent_write_is_applied_once(self):
+        """A replica whose ack was lost is marked down; its catch-up
+        resends the write it already applied, which it must acknowledge
+        without applying a second time."""
+        master, cluster, loopback = lost_ack_setup()
+        with loopback:
+            cluster.transport = loopback.transport
+            hook = LostAck(cluster, server=1)
+            cluster.append_edge(3, 0, 7)
+            assert hook.dropped and cluster.down_servers == {1}
+            cluster.recover_server(1)
+            assert cluster.down_servers == set()
+            assert cluster.applied_lsn(1) == cluster.commit_lsn == 1
+            replica = loopback.servers[1].store
+            assert replica.get_neighbor_ids(3, 0) == master.get_neighbor_ids(3, 0)
+            assert sorted(replica.get_neighbor_ids(3, 0)) == [4, 7]
+            assert replica.edge_count(3, 0) == master.edge_count(3, 0) == 2
+
+    def test_resend_during_a_stalled_apply_is_applied_once(self, monkeypatch):
+        """The resend reaches the replica on a new connection while the
+        timed-out first apply is still running: it must wait for that
+        apply and then acknowledge without applying."""
+        master, cluster, loopback = lost_ack_setup()
+        with loopback:
+            cluster.transport = loopback.transport
+            replica = loopback.servers[1].store
+            started, release = threading.Event(), threading.Event()
+            apply_record = replica.apply_wal_record
+
+            def stalled(op, args):
+                if not started.is_set():
+                    started.set()
+                    assert release.wait(10)
+                apply_record(op, args)
+
+            monkeypatch.setattr(replica, "apply_wal_record", stalled)
+            hook = TimedOutAck(cluster, server=1, started=started)
+            cluster.append_edge(3, 0, 7)
+            assert cluster.down_servers == {1}
+            recovery = threading.Thread(target=cluster.recover_server,
+                                        args=(1,))
+            recovery.start()
+            time.sleep(0.2)  # the resend is now at the replica
+            release.set()
+            recovery.join(10)
+            hook.first.join(10)
+            assert not recovery.is_alive() and not hook.first.is_alive()
+            assert cluster.down_servers == set()
+            assert cluster.applied_lsn(1) == cluster.commit_lsn == 1
+            assert sorted(replica.get_neighbor_ids(3, 0)) == [4, 7]
+            assert replica.edge_count(3, 0) == master.edge_count(3, 0) == 2
+
+    def test_restarted_master_writes_are_applied(self):
+        """A new master process numbers its writes from LSN 1 again; a
+        long-lived replica must apply them, not take them for resends of
+        the old master's records."""
+        master, cluster, loopback = lost_ack_setup()
+        with loopback:
+            cluster.transport = loopback.transport
+            cluster.append_edge(3, 0, 7)
+            restarted = ReplicatedZipGCluster(master, num_servers=2,
+                                              replication_factor=2)
+            restarted.transport = loopback.transport
+            restarted.append_edge(3, 0, 9)
+            assert restarted.commit_lsn == 1
+            for server in loopback.servers:
+                assert sorted(server.store.get_neighbor_ids(3, 0)) == [4, 7, 9]
 
 
 class ApplyWriteLog(TransportHook):
