@@ -17,13 +17,15 @@ those conventions on every commit:
 * ``API001``/``API002`` -- API hygiene
   (:mod:`repro.analysis.rules.hygiene`).
 
-Run it as ``python -m repro.analysis [paths...]`` or ``repro check``.
+The rule families above are a sample; ``--list-rules`` prints all
+of them and ``docs/ANALYSIS.md`` documents each.
+
+Run it as ``python -m repro.analysis [paths...]`` or ``repro check``:
+one mode that scans the given paths, runs the rules (``--rules`` to
+pick a subset), prints text or ``--json``, and exits 1 on any error.
 Suppress a finding with a ``# zipg: ignore[RULE]`` comment; sanction a
 deliberate scalar kernel with ``# zipg: scalar-ok``; see
 ``docs/ANALYSIS.md`` for the full marker vocabulary.
-
-:mod:`repro.analysis.runtime` complements the static pass with an
-instrumented-lock harness used by tests as a lightweight race detector.
 """
 
 from __future__ import annotations

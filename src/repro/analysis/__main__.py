@@ -8,23 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.analysis.engine import (
-    Finding,
-    Severity,
-    all_rules,
-    analyze_paths,
-)
-from repro.analysis.runtime import load_lock_trace
+from repro.analysis.engine import Severity, all_rules, analyze_paths
 
 DEFAULT_PATHS = ["src/repro"]
-
-#: SARIF severity levels by finding severity.
-_SARIF_LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,44 +30,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"files or directories to scan (default: {DEFAULT_PATHS[0]})",
     )
     parser.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default=None,
-        help="output format (default: text)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
-        help="shorthand for --format json",
+        help="emit findings as a JSON list instead of text",
     )
     parser.add_argument(
         "--rules",
         help="comma-separated rule ids to run (default: all registered rules)",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        metavar="BASE",
-        help="report only findings in files changed relative to the given "
-        "git revision (default BASE: HEAD; includes staged and untracked "
-        "files).  The full path set is still scanned so whole-program "
-        "rules keep their caller/registry context -- combine with "
-        "--cache to make the scan cheap",
-    )
-    parser.add_argument(
-        "--lock-trace",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="runtime lock-order trace (LockOrderRecorder.save output) "
-        "to merge into DEADLOCK001's order graph; repeatable",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        help="pickle file caching parsed-module scans keyed by content "
-        "hash (speeds up repeated runs; safe to delete any time)",
     )
     parser.add_argument(
         "--list-rules",
@@ -86,85 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered rules and exit",
     )
     return parser
-
-
-def _changed_files(base: str) -> List[str]:
-    """Repo-relative paths changed vs ``base``, plus untracked files."""
-    diff = subprocess.run(
-        ["git", "diff", "--name-only", "--diff-filter=d", base, "--"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    untracked = subprocess.run(
-        ["git", "ls-files", "--others", "--exclude-standard"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    names = set(diff.stdout.splitlines()) | set(untracked.stdout.splitlines())
-    return sorted(name for name in names if name.endswith(".py"))
-
-
-def _scope_to_changed(paths: List[str], base: str) -> List[str]:
-    """The changed files that live under one of ``paths``."""
-    roots = [os.path.abspath(path) for path in paths]
-    scoped = []
-    for name in _changed_files(base):
-        if not os.path.exists(name):
-            continue
-        target = os.path.abspath(name)
-        for root in roots:
-            if target == root or target.startswith(root + os.sep):
-                scoped.append(name)
-                break
-    return scoped
-
-
-def _to_sarif(findings: List[Finding]) -> Dict[str, object]:
-    rules = [
-        {
-            "id": spec.rule_id,
-            "shortDescription": {"text": spec.description},
-            "defaultConfiguration": {
-                "level": _SARIF_LEVELS.get(spec.severity, "warning")
-            },
-        }
-        for spec in all_rules()
-    ]
-    results = [
-        {
-            "ruleId": finding.rule_id,
-            "level": _SARIF_LEVELS.get(finding.severity, "warning"),
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace(os.sep, "/"),
-                        },
-                        "region": {"startLine": max(finding.line, 1)},
-                    }
-                }
-            ],
-        }
-        for finding in findings
-    ]
-    return {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-analysis",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -176,36 +55,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{spec.rule_id} [{spec.severity.value}] {spec.description}")
         return 0
 
-    output = options.format or ("json" if options.json else "text")
-
     rule_ids = None
     if options.rules:
         rule_ids = [part.strip() for part in options.rules.split(",") if part.strip()]
 
-    paths = list(options.paths)
-    changed_filter: Optional[List[str]] = None
-    if options.changed is not None:
-        try:
-            changed_filter = _scope_to_changed(paths, options.changed)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            print(f"error: --changed requires git: {exc}", file=sys.stderr)
-            return 2
-
-    lock_traces: List[Dict[str, object]] = []
-    for trace_path in options.lock_trace:
-        try:
-            lock_traces.extend(load_lock_trace(trace_path))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load {trace_path}: {exc}", file=sys.stderr)
-            return 2
-
     try:
-        findings, context = analyze_paths(
-            paths,
-            rule_ids,
-            lock_traces=lock_traces or None,
-            cache_path=options.cache,
-        )
+        findings, context = analyze_paths(options.paths, rule_ids)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -213,18 +68,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}", file=sys.stderr)
         return 2
 
-    if changed_filter is not None:
-        wanted = {os.path.abspath(name) for name in changed_filter}
-        findings = [
-            finding
-            for finding in findings
-            if os.path.abspath(finding.path) in wanted
-        ]
-
-    if output == "json":
+    if options.json:
         print(json.dumps([finding.to_json() for finding in findings], indent=2))
-    elif output == "sarif":
-        print(json.dumps(_to_sarif(findings), indent=2))
     else:
         for finding in findings:
             print(finding.render())

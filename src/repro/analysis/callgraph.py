@@ -26,8 +26,8 @@ statically, so the graph is layered:
 
 Rules that only need "can this call reach that function" keep using
 :meth:`CallGraph.reachable_from_names`; rules that need per-call-site
-precision (the RACE001 lockset propagation, the DEADLOCK001 order
-graph) walk :meth:`CallGraph.callees_at` call site by call site.
+precision (the RACE001 lockset propagation, the LOCK002 order graph)
+walk :meth:`CallGraph.callees_at` call site by call site.
 """
 
 from __future__ import annotations
@@ -334,8 +334,7 @@ class CallGraph:
 
     def _local_var_types(self, record: "FunctionRecord") -> Dict[str, Set[str]]:
         """``x = ScannedClass(...)`` locals of one function (cached
-        per graph -- records may be shared across scans via the
-        engine's ScanCache, so nothing is memoized on the record)."""
+        per graph)."""
         cached = self._local_types.get(record.qualkey)
         if cached is not None:
             return cached

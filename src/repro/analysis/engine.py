@@ -11,10 +11,7 @@ findings through the ``# zipg: ignore[RULE]`` suppression machinery.
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
-import pickle
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
@@ -210,9 +207,6 @@ class AnalysisContext:
     :mod:`repro.analysis.callgraph` and is attached on first use)."""
 
     modules: List[ModuleInfo]
-    #: Recorded runtime lock-order edges (see
-    #: :mod:`repro.analysis.runtime`) merged into DEADLOCK001.
-    lock_traces: List[Dict[str, object]] = field(default_factory=list)
     _callgraph: Optional[object] = None
 
     def module_by_name(self, name: str) -> Optional[ModuleInfo]:
@@ -294,65 +288,10 @@ def _module_name(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-#: Bump when ModuleInfo / FunctionRecord / MarkerIndex shapes change
-#: (invalidates every ScanCache entry).
-_CACHE_VERSION = 1
-
-
-class ScanCache:
-    """Content-addressed cache of parsed :class:`ModuleInfo` objects.
-
-    Parsing plus definition indexing dominates checker start-up on a
-    full-tree scan; CI caches this file between jobs (keyed on the
-    Python version and engine layout) so re-runs only re-parse files
-    whose bytes changed.  The payload is a pickle -- treat the cache
-    file like build output, never like an input from another trust
-    domain.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._tag = (sys.version_info[:2], _CACHE_VERSION)
-        self._entries: Dict[str, Tuple[str, ModuleInfo]] = {}
-        self._dirty = False
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if payload.get("tag") == self._tag:
-                self._entries = payload["entries"]
-        except Exception:
-            self._entries = {}  # corrupt/missing/foreign cache: rebuild
-
-    def get(self, path: str, digest: str) -> Optional[ModuleInfo]:
-        entry = self._entries.get(os.path.abspath(path))
-        if entry is not None and entry[0] == digest:
-            return entry[1]
-        return None
-
-    def put(self, path: str, digest: str, module: ModuleInfo) -> None:
-        self._entries[os.path.abspath(path)] = (digest, module)
-        self._dirty = True
-
-    def save(self) -> None:
-        if not self._dirty:
-            return
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "wb") as handle:
-            pickle.dump({"tag": self._tag, "entries": self._entries}, handle)
-        os.replace(tmp, self.path)
-
-
-def load_module(path: str, cache: Optional[ScanCache] = None) -> ModuleInfo:
+def load_module(path: str) -> ModuleInfo:
     """Parse one file into a :class:`ModuleInfo` (raises SyntaxError)."""
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
-    if cache is not None:
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        cached = cache.get(path, digest)
-        if cached is not None:
-            return cached
     tree = ast.parse(source, filename=path)
     lines = source.splitlines()
     module = ModuleInfo(
@@ -364,8 +303,6 @@ def load_module(path: str, cache: Optional[ScanCache] = None) -> ModuleInfo:
         markers=index_markers(lines),
     )
     _index_definitions(module)
-    if cache is not None:
-        cache.put(path, digest, module)
     return module
 
 
@@ -432,17 +369,12 @@ def _suppressed(finding: Finding, module: ModuleInfo) -> bool:
 def analyze_paths(
     paths: List[str],
     rule_ids: Optional[List[str]] = None,
-    lock_traces: Optional[List[Dict[str, object]]] = None,
-    cache_path: Optional[str] = None,
 ) -> Tuple[List[Finding], AnalysisContext]:
     """Run the registered rules over ``paths``.
 
-    ``lock_traces`` feeds recorded runtime lock-order edges (see
-    :func:`repro.analysis.runtime.export_lock_order_trace`) into
-    DEADLOCK001; ``cache_path`` persists the parsed-module cache
-    between runs.  Returns the (suppression-filtered, sorted) findings
-    plus the context so callers (tests, the CLI) can introspect what
-    was scanned.
+    Returns the (suppression-filtered, sorted) findings plus the
+    context so callers (tests, the CLI) can introspect what was
+    scanned.
     """
     specs = all_rules()
     if rule_ids is not None:
@@ -451,11 +383,8 @@ def analyze_paths(
             raise ValueError(f"unknown rule ids: {sorted(unknown)}")
         specs = [spec for spec in specs if spec.rule_id in rule_ids]
 
-    cache = ScanCache(cache_path) if cache_path else None
-    modules = [load_module(path, cache) for path in collect_files(paths)]
-    if cache is not None:
-        cache.save()
-    context = AnalysisContext(modules, lock_traces=list(lock_traces or []))
+    modules = [load_module(path) for path in collect_files(paths)]
+    context = AnalysisContext(modules)
     by_path = {module.path: module for module in modules}
 
     findings: List[Finding] = []

@@ -5,7 +5,6 @@ from __future__ import annotations
 import repro.analysis.rules.cache  # noqa: F401
 import repro.analysis.rules.chaos_cov  # noqa: F401
 import repro.analysis.rules.copies  # noqa: F401
-import repro.analysis.rules.deadlock  # noqa: F401
 import repro.analysis.rules.excflow  # noqa: F401
 import repro.analysis.rules.locks  # noqa: F401
 import repro.analysis.rules.race  # noqa: F401

@@ -21,9 +21,9 @@ unless the I/O is *behind a chaos site*, meaning one of:
 * the enclosing function itself calls ``chaos.kick`` /
   ``chaos.crash_point`` / ``chaos.write_bytes``; or
 * every scanned caller (receiver-aware call graph, transitively) is
-  itself covered or lives in the chaos package -- e.g. ``_fsync_dir``
-  is only called from ``save_store``, whose crash points bracket it;
-  or
+  itself covered or lives in the chaos package -- e.g. ``fsync_dir``
+  is only called from ``save_store`` and the EC commit paths, whose
+  chaos sites bracket it; or
 * the I/O lives in a *chaos handle* class -- one whose constructor
   appears inside the arguments of a chaos hook call, like
   ``chaos.write_bytes(SITE, _SocketWriter(sock), frame)``: the object

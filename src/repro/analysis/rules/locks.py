@@ -196,25 +196,19 @@ def _acquired_lock_nodes(
     return nodes
 
 
-def static_lock_order_edges(
-    context: AnalysisContext,
-) -> Tuple[Dict[str, Set[str]], Dict[Tuple[str, str], Tuple[str, int]]]:
-    """The AST-derived lock-acquisition-order graph.
-
-    Returns ``(edges, sites)``: ``edges`` maps a held lock node
-    (``Class.lock_attr``) to the lock nodes acquired -- directly or
-    through receiver-resolved calls -- while it is held; ``sites``
-    remembers one witness ``(path, line)`` per ordered pair.  Shared
-    by LOCK002 (static cycles) and DEADLOCK001 (static + runtime-trace
-    cycles).
-    """
+@rule(
+    "LOCK002",
+    "the lock acquisition-order graph must be acyclic "
+    "(cycles deadlock; self-edges self-deadlock on non-reentrant locks)",
+)
+def check_lock_order(context: AnalysisContext) -> Iterator[Finding]:
     owners = discover_lock_owners(context)
     attr_owners: Dict[str, Set[str]] = {}
     for owner in owners:
         for attr in owner.lock_attrs:
             attr_owners.setdefault(attr, set()).add(owner.class_name)
     if not attr_owners:
-        return {}, {}
+        return
 
     graph: CallGraph = context.callgraph()  # type: ignore[assignment]
 
@@ -227,7 +221,8 @@ def static_lock_order_edges(
         if acquired:
             acquires[graph.key_of(record)] = acquired
 
-    # Build held -> acquired edges, remembering one witness site each.
+    # Build held -> acquired edges (lock node ``Class.lock_attr``),
+    # remembering one witness site each.
     edges: Dict[str, Set[str]] = {}
     sites: Dict[Tuple[str, str], Tuple[str, int]] = {}
     for record in context.each_function():
@@ -265,29 +260,24 @@ def static_lock_order_edges(
                         (held_node, inner_node),
                         (record.module.path, node.lineno),
                     )
-    return edges, sites
 
-
-@rule(
-    "LOCK002",
-    "the lock acquisition-order graph must be acyclic "
-    "(cycles deadlock; self-edges self-deadlock on non-reentrant locks)",
-)
-def check_lock_order(context: AnalysisContext) -> Iterator[Finding]:
-    edges, sites = static_lock_order_edges(context)
-
-    def reaches(start: str, goal: str) -> bool:
-        seen: Set[str] = set()
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            if current == goal:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(edges.get(current, set()))
-        return False
+    def path_back(start: str, goal: str) -> Optional[List[str]]:
+        """Shortest lock path ``start -> ... -> goal`` (BFS)."""
+        parents: Dict[str, str] = {}
+        queue = [start]
+        while queue:
+            current = queue.pop(0)
+            for nxt in sorted(edges.get(current, set())):
+                if nxt in parents or nxt == start:
+                    continue
+                parents[nxt] = current
+                if nxt == goal:
+                    path = [goal]
+                    while path[-1] != start:
+                        path.append(parents[path[-1]])
+                    return list(reversed(path))
+                queue.append(nxt)
+        return None
 
     for (held_node, inner_node), (path, line) in sorted(sites.items()):
         if held_node == inner_node:
@@ -298,11 +288,18 @@ def check_lock_order(context: AnalysisContext) -> Iterator[Finding]:
                 path,
                 line,
             )
-        elif reaches(inner_node, held_node):
-            yield Finding(
-                "LOCK002",
-                f"acquiring '{inner_node}' while holding '{held_node}' "
-                f"completes an acquisition-order cycle",
-                path,
-                line,
-            )
+            continue
+        back = path_back(inner_node, held_node)
+        if back is None:
+            continue
+        reverse_path, reverse_line = sites[(back[0], back[1])]
+        yield Finding(
+            "LOCK002",
+            f"acquiring '{inner_node}' while holding '{held_node}' "
+            f"completes an acquisition-order cycle "
+            f"{' -> '.join([held_node] + back)}; the reverse order "
+            f"'{back[0]}' -> '{back[1]}' is taken at "
+            f"{reverse_path}:{reverse_line}",
+            path,
+            line,
+        )

@@ -153,16 +153,8 @@ def _cmd_check(args) -> int:
     forwarded = list(args.paths)
     if args.json:
         forwarded.append("--json")
-    if args.format:
-        forwarded.extend(["--format", args.format])
     if args.rules:
         forwarded.extend(["--rules", args.rules])
-    if args.changed is not None:
-        forwarded.extend(["--changed", args.changed])
-    for trace_path in args.lock_trace:
-        forwarded.extend(["--lock-trace", trace_path])
-    if args.cache:
-        forwarded.extend(["--cache", args.cache])
     return analysis_main(forwarded)
 
 
@@ -432,18 +424,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="files or directories to scan")
     check.add_argument("--json", action="store_true",
                        help="emit findings as JSON")
-    check.add_argument("--format", choices=["text", "json", "sarif"],
-                       help="output format (default: text)")
     check.add_argument("--rules", help="comma-separated rule ids to run")
-    check.add_argument("--changed", nargs="?", const="HEAD", metavar="BASE",
-                       help="scan only files changed vs the given git "
-                            "revision (default: HEAD)")
-    check.add_argument("--lock-trace", action="append", default=[],
-                       metavar="PATH",
-                       help="runtime lock-order trace for DEADLOCK001; "
-                            "repeatable")
-    check.add_argument("--cache", metavar="PATH",
-                       help="parsed-module scan cache file")
 
     stats = commands.add_parser(
         "stats", help="run a traced workload and dump metrics/spans"

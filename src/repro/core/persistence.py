@@ -170,7 +170,7 @@ def _write_file_sections(
     return {"crc32": writer.crc32, "bytes": writer.nbytes}
 
 
-def _fsync_dir(root: str) -> None:
+def fsync_dir(root: str) -> None:
     """Make the rename itself durable (POSIX: fsync the directory)."""
     try:
         fd = os.open(root, os.O_RDONLY)
@@ -270,7 +270,7 @@ def save_store(store: ZipG, root: str, fsync: bool = True) -> None:
     chaos.crash_point("save.manifest_tmp")
     os.replace(os.path.join(root, tmp_name), os.path.join(root, MANIFEST_NAME))
     if fsync:
-        _fsync_dir(root)
+        fsync_dir(root)
     chaos.crash_point("save.committed")
 
     # The snapshot now covers every WAL record up to wal_last_lsn; a

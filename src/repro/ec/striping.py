@@ -46,6 +46,7 @@ from repro.core.errors import (
     ReconstructionFailed,
     UnsupportedVersionError,
 )
+from repro.core.persistence import fsync_dir
 from repro.ec.rs import RSCodec
 
 EC_MANIFEST_VERSION = 1
@@ -182,6 +183,8 @@ class ECManifest:
             if fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp, path)
+        if fsync:
+            fsync_dir(os.path.dirname(os.path.abspath(path)))
 
     def server_fragments(self, server: int) -> Iterator[Tuple[str, int]]:
         """Every ``(file name, fragment index)`` placed on ``server``."""
@@ -232,6 +235,8 @@ class FragmentStore:
             if fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp, final)
+        if fsync:
+            fsync_dir(self.root)
 
     def read(self, name: str, index: int, expected_crc: Optional[int] = None,
              expected_bytes: Optional[int] = None) -> bytes:
@@ -475,14 +480,7 @@ class ErasureCodedSnapshots:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, out_path)
-        try:
-            dir_fd = os.open(out_dir, os.O_RDONLY)
-        except OSError:
-            return len(data)  # no directory fds; rename already issued
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        fsync_dir(out_dir)
         return len(data)
 
     def rebuild_fragment(self, name: str, index: int,

@@ -1,4 +1,4 @@
-"""DEADLOCK001 fixture: a static AB/BA lock-order inversion."""
+"""LOCK002 fixture: a static AB/BA lock-order inversion through helpers."""
 
 import threading
 

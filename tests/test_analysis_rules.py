@@ -10,6 +10,7 @@ from repro.analysis.__main__ import main as analysis_main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "analysis")
 SRC_REPRO = os.path.dirname(os.path.abspath(repro.__file__))
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def fixture(name):
@@ -392,7 +393,12 @@ class TestEngine:
 
 class TestCli:
     def test_shipped_tree_is_clean(self):
-        assert analysis_main([SRC_REPRO]) == 0
+        # The same roots the CI gate scans.
+        assert analysis_main([
+            SRC_REPRO,
+            os.path.join(REPO_ROOT, "benchmarks"),
+            os.path.join(REPO_ROOT, "examples"),
+        ]) == 0
 
     def test_fixtures_fail(self, capsys):
         assert analysis_main([FIXTURES]) == 1
@@ -424,6 +430,7 @@ class TestCli:
             "ROBUST001",
         ):
             assert rule_id in out
+        assert "DEADLOCK001" not in out
 
     def test_missing_path_exits_2(self, capsys):
         assert analysis_main(["does/not/exist"]) == 2
@@ -434,6 +441,15 @@ class TestCli:
 
         assert cli_main(["check", FIXTURES]) == 1
         assert "LOCK001" in capsys.readouterr().out
+
+    def test_repro_check_forwards_json_and_rules(self, capsys):
+        import json
+
+        from repro.cli import main as cli_main
+
+        assert cli_main(["check", FIXTURES, "--json", "--rules", "LOCK002"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload and {f["rule"] for f in payload} == {"LOCK002"}
 
 # ----------------------------------------------------------------------
 # Lockset race detection
@@ -476,22 +492,37 @@ class TestRaceRule:
 # ----------------------------------------------------------------------
 
 
-class TestDeadlockRule:
-    def test_static_inversion_reported_once(self):
-        found = findings_for("deadlock_cycle.py", ["DEADLOCK001"])
-        assert len(found) == 1  # one finding per distinct cycle
-        message = found[0].message
-        assert "lock-order cycle" in message
-        assert "Pair._a" in message and "Pair._b" in message
+class TestLockOrderInversion:
+    """LOCK002 on a two-lock AB/BA inversion reached through helpers."""
 
-    def test_both_legs_carry_static_witnesses(self):
-        found = findings_for("deadlock_cycle.py", ["DEADLOCK001"])
-        assert found[0].message.count("static witness") == 2
+    def test_inversion_flagged_at_each_leg(self):
+        path = fixture("deadlock_cycle.py")
+        found = findings_for("deadlock_cycle.py", ["LOCK002"])
+        # Each finding sits on the outer ``with`` of its leg.
+        assert {f.line for f in found} == {
+            line_of(path, "edge Pair._a -> Pair._b") - 1,
+            line_of(path, "edge Pair._b -> Pair._a") - 1,
+        }
+        for finding in found:
+            assert "acquisition-order cycle" in finding.message
+            assert "Pair._a" in finding.message and "Pair._b" in finding.message
+
+    def test_each_leg_names_the_reverse_witness(self):
+        path = fixture("deadlock_cycle.py")
+        found = findings_for("deadlock_cycle.py", ["LOCK002"])
+        by_line = {f.line: f.message for f in found}
+        forward = line_of(path, "edge Pair._a -> Pair._b") - 1
+        backward = line_of(path, "edge Pair._b -> Pair._a") - 1
+        assert f"deadlock_cycle.py:{backward}" in by_line[forward]
+        assert f"deadlock_cycle.py:{forward}" in by_line[backward]
 
     def test_single_lock_method_contributes_no_cycle(self):
-        # 'straight' acquires only _a; the one finding is the inversion.
-        found = findings_for("deadlock_cycle.py", ["DEADLOCK001"])
-        assert "straight" not in found[0].message
+        # 'straight' acquires only _a: no ordering edge, no finding.
+        path = fixture("deadlock_cycle.py")
+        found = findings_for("deadlock_cycle.py", ["LOCK002"])
+        assert line_of(path, "clean: single lock") - 1 not in {
+            f.line for f in found
+        }
 
 
 # ----------------------------------------------------------------------
@@ -714,60 +745,3 @@ class TestSuppressionScopes:
         )
         findings, _ = analyze_paths([str(module)], ["LOCK001"])
         assert len(findings) == 1
-
-
-# ----------------------------------------------------------------------
-# CLI: SARIF, --changed, --cache
-# ----------------------------------------------------------------------
-
-
-class TestCliExtensions:
-    def test_sarif_output(self, capsys):
-        import json
-
-        assert analysis_main([FIXTURES, "--format", "sarif"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["results"], "expected findings from the fixture tree"
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"RACE001", "DEADLOCK001", "EXC001", "CHAOS001"} <= rule_ids
-        result = run["results"][0]
-        assert result["locations"][0]["physicalLocation"]["region"][
-            "startLine"
-        ] >= 1
-
-    def test_changed_filters_to_listed_files(self, capsys, monkeypatch):
-        import repro.analysis.__main__ as driver
-
-        changed = os.path.relpath(fixture("race_violation.py"))
-        monkeypatch.setattr(driver, "_changed_files", lambda base: [changed])
-        assert analysis_main([FIXTURES, "--changed"]) == 1
-        out = capsys.readouterr().out
-        body, summary = out.rsplit("scanned ", 1)
-        assert "race_violation.py" in body
-        assert "deadlock_cycle.py" not in body
-        assert "1 finding(s)" in summary
-
-    def test_changed_with_nothing_relevant_passes(self, capsys, monkeypatch):
-        import repro.analysis.__main__ as driver
-
-        monkeypatch.setattr(driver, "_changed_files", lambda base: [])
-        assert analysis_main([FIXTURES, "--changed"]) == 0
-
-    def test_cache_roundtrip_same_findings(self, tmp_path, capsys):
-        cache = str(tmp_path / "scan.pkl")
-        assert analysis_main([FIXTURES, "--json", "--cache", cache]) == 1
-        first = capsys.readouterr().out
-        assert os.path.exists(cache)
-        assert analysis_main([FIXTURES, "--json", "--cache", cache]) == 1
-        assert capsys.readouterr().out == first
-
-    def test_repro_check_forwards_new_flags(self, capsys):
-        import json
-
-        from repro.cli import main as cli_main
-
-        assert cli_main(["check", FIXTURES, "--format", "sarif"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runs"][0]["results"]

@@ -293,6 +293,49 @@ class TestStriping:
             snaps.reconstruct_file("ghost.bin", snaps.local_fetch)
 
 
+class TestDurableCommits:
+    """Every EC commit fsyncs the directory its rename landed in, the
+    same way ``save_store`` commits its manifest."""
+
+    @pytest.fixture
+    def synced(self, monkeypatch):
+        import repro.ec.striping as striping
+
+        calls = []
+        monkeypatch.setattr(striping, "fsync_dir", calls.append,
+                            raising=False)
+        return calls
+
+    def test_manifest_save_fsyncs_directory(self, tmp_path, synced):
+        root = str(tmp_path / "snap")
+        save_store(build_store(), root)
+        manifest = encode_store(root, str(tmp_path / "ec"), num_servers=3,
+                                fsync=False)
+        assert synced == []
+        path = str(tmp_path / "out" / EC_MANIFEST_NAME)
+        os.makedirs(os.path.dirname(path))
+        manifest.save(path)
+        assert synced == [os.path.dirname(path)]
+
+    def test_fragment_write_fsyncs_directory(self, tmp_path, synced):
+        store = FragmentStore(str(tmp_path / "s0"))
+        store.write("file.bin", 0, payload(64), fsync=False)
+        assert synced == []
+        store.write("file.bin", 1, payload(64))
+        assert synced == [store.root]
+
+    def test_materialize_fsyncs_directory(self, tmp_path, synced):
+        root = str(tmp_path / "snap")
+        save_store(build_store(), root)
+        snaps = ErasureCodedSnapshots.encode_snapshot(
+            root, str(tmp_path / "ec"), num_servers=3, fsync=False
+        )
+        name = next(iter(snaps.manifest.files))
+        out_path = str(tmp_path / "rebuilt" / name)
+        snaps.materialize_file(name, snaps.local_fetch, out_path)
+        assert synced == [str(tmp_path / "rebuilt")]
+
+
 class TestVerifyStore:
     def build_roots(self, tmp_path):
         root = str(tmp_path / "snap")
