@@ -438,7 +438,3 @@ class PointerGraphStore(GraphStoreInterface):
     @property
     def num_nodes(self) -> int:
         return len(self._nodes)
-
-    @property
-    def num_relationships(self) -> int:
-        return self._num_relationships

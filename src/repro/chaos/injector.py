@@ -122,11 +122,6 @@ class ChaosInjector:
         self._lock = threading.Lock()
         self._log: List[Tuple[str, str]] = []
 
-    def add_rule(self, rule: FaultRule) -> FaultRule:
-        with self._lock:
-            self.rules.append(rule)
-        return rule
-
     @property
     def injection_log(self) -> List[Tuple[str, str]]:
         """``(site, fault)`` pairs actually fired, in order."""

@@ -362,8 +362,7 @@ def _cmd_serve_master(args) -> int:
     cluster = ReplicatedZipGCluster(
         store, num_servers,
         replication_factor=min(args.replication, num_servers),
-        retries=args.retries, backoff_s=args.backoff_s,
-        deadline_s=args.deadline_s,
+        retries=args.retries,
         placement=args.placement, ec_snapshots=ec_snapshots,
         rebuild_rate_bytes_s=args.rebuild_rate_bytes_s,
     )
@@ -526,9 +525,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve_master.add_argument("--replication", type=int, default=2,
                               help="replicas per shard (capped at the "
                                    "server count)")
-    serve_master.add_argument("--retries", type=int, default=1)
-    serve_master.add_argument("--backoff-s", type=float, default=0.0)
-    serve_master.add_argument("--deadline-s", type=float, default=None)
+    serve_master.add_argument("--retries", type=int, default=1,
+                              help="extra failover passes a broadcast "
+                                   "unit makes over its live replicas")
     serve_master.add_argument("--timeout-s", type=float, default=30.0,
                               help="per-connection socket timeout to shards")
     serve_master.add_argument("--placement", default="replication",

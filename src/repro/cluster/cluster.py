@@ -13,7 +13,7 @@ routing, failover and replicated writes on top.  The Fig. 9 simulator
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.core.graph_store import ZipG
 from repro.core.interface import GraphStoreInterface
@@ -33,22 +33,11 @@ class ZipGCluster(GraphStoreInterface):
 
     name = "zipg"
 
-    def __init__(self, store: ZipG, num_servers: int,
-                 retries: int = 0, backoff_s: float = 0.0,
-                 deadline_s: Optional[float] = None):
+    def __init__(self, store: ZipG, num_servers: int):
         if num_servers < 1:
             raise ValueError("num_servers must be >= 1")
         self.store = store
         self.num_servers = num_servers
-        # Failure-semantics knobs: pushed onto the store so every
-        # fan-out a query issues (including coalesced ones) inherits
-        # the cluster's retry/backoff/deadline policy.
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.deadline_s = deadline_s
-        store.retries = retries
-        store.backoff_s = backoff_s
-        store.deadline_s = deadline_s
         # Per-server dispatch seam; None means "in-process against the
         # shared store", materialized lazily by the `transport` property.
         self._transport = None

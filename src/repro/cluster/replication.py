@@ -25,7 +25,10 @@ call that raises fails over to the next candidate
 :class:`~repro.core.errors.ReplicaCallError` with the
 ``(server, exception)`` attempts.  ``NodeNotFound`` is an answer, not
 a failure: reads only reach caught-up servers, so the first one's miss
-is re-raised as is.  The broadcast queries (``get_node_ids`` /
+is re-raised as is.  This loop is the one place a shard call is
+retried: a broadcast unit whose candidates all failed gets up to
+``retries`` more passes, each over the live servers at that moment;
+point reads make one pass.  The broadcast queries (``get_node_ids`` /
 ``find_edges``) accept ``partial_results=True`` and then return a
 :class:`PartialResult`: the merged value from the units that answered
 plus one :class:`ShardError` per unit that did not.
@@ -137,10 +140,9 @@ class ReplicatedZipGCluster(ZipGCluster):
         num_servers: cluster size.
         replication_factor: replicas per shard (the paper's app-chosen
             knob). Must not exceed ``num_servers``.
-        retries: extra per-shard attempts the broadcast fan-out makes
-            on top of replica failover (passed to ``executor.map``).
-        backoff_s: base exponential backoff between those retries.
-        deadline_s: cooperative per-shard-call deadline.
+        retries: extra :meth:`_failover` passes a broadcast unit makes
+            over its live candidates after every one of them failed
+            (point reads make one pass).
         placement: ``"replication"`` (whole-shard copies, the paper's
             scheme) or ``"ec"`` (erasure-coded snapshot fragments;
             forces ``replication_factor`` to 1 -- redundancy comes
@@ -156,13 +158,10 @@ class ReplicatedZipGCluster(ZipGCluster):
 
     def __init__(self, store: ZipG, num_servers: int,
                  replication_factor: int = 2, retries: int = 0,
-                 backoff_s: float = 0.0,
-                 deadline_s: Optional[float] = None,
                  placement: str = "replication",
                  ec_snapshots: Optional[ErasureCodedSnapshots] = None,
                  rebuild_rate_bytes_s: Optional[float] = None):
-        super().__init__(store, num_servers, retries=retries,
-                         backoff_s=backoff_s, deadline_s=deadline_s)
+        super().__init__(store, num_servers)
         if placement not in ("replication", "ec"):
             raise ValueError(f"unknown placement {placement!r}")
         if placement == "ec":
@@ -175,8 +174,11 @@ class ReplicatedZipGCluster(ZipGCluster):
             raise ValueError("ec_snapshots is only valid with placement='ec'")
         if not 1 <= replication_factor <= num_servers:
             raise ValueError("replication_factor must be in [1, num_servers]")
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         self.placement = placement
         self.replication_factor = replication_factor
+        self.retries = retries
         self.rebuild_rate_bytes_s = rebuild_rate_bytes_s
         self._ec = ec_snapshots
         # Reconstructed-shard cache: shard_id -> [shard, oplog records
@@ -688,7 +690,9 @@ class ReplicatedZipGCluster(ZipGCluster):
         )
 
     def _unit_call(self, unit: int, method: str, wire_args: List) -> object:
-        """Route one broadcast unit's op through :meth:`_failover`.
+        """Route one broadcast unit's op through up to ``1 + retries``
+        passes of :meth:`_failover`, each over the unit's live servers
+        at that moment; the last pass's error is the unit's.
 
         The LogStore unit lives unreplicated on ``logstore_server``
         (§3.5); under ec its hot tail is on every server, so the other
@@ -700,12 +704,21 @@ class ReplicatedZipGCluster(ZipGCluster):
             owners, spill = [self.logstore_server], self._ec is not None
         else:
             owners, spill = self.replica_servers(unit), False
+
+        def call(server: int) -> object:
+            return transport.call(server, method, wire_args, unit=unit)
+
+        passes_left = self.retries
         try:
-            return self._failover(
-                unit, self._route(unit, owners, spill),
-                lambda server: transport.call(server, method, wire_args,
-                                              unit=unit),
-            )
+            while True:
+                try:
+                    return self._failover(
+                        unit, self._route(unit, owners, spill), call
+                    )
+                except ReplicaCallError:
+                    if not passes_left:
+                        raise
+                    passes_left -= 1
         except (ShardUnavailable, ReplicaCallError):
             if self._ec is None or unit == LOGSTORE_UNIT:
                 raise
@@ -732,9 +745,6 @@ class ReplicatedZipGCluster(ZipGCluster):
             return self.store.executor.map(
                 lambda unit: self._unit_call(unit, method, wire_args),
                 units,
-                retries=self.retries,
-                backoff_s=self.backoff_s,
-                deadline_s=self.deadline_s,
                 partial=True,
             )
 

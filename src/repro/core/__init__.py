@@ -16,7 +16,6 @@
 """
 
 from repro.core.errors import (
-    DeadlineExceeded,
     EdgeRecordNotFound,
     GraphFormatError,
     ManifestCorruptError,
@@ -42,7 +41,6 @@ from repro.core.model import (
 )
 
 __all__ = [
-    "DeadlineExceeded",
     "Edge",
     "EdgeData",
     "EdgeRecordNotFound",

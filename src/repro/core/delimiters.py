@@ -15,7 +15,7 @@ Reserved control bytes (never assigned as property delimiters):
 0x1B  EdgeFile source/type separator (``#``)
 0x1C  EdgeFile metadata field separator (``,``)
 0x1D  end-of-record (the paper's ``‡``)
-0x1E  SuccinctKV record separator
+0x1E  reserved (never assigned)
 ====  =======================================
 """
 

@@ -91,21 +91,14 @@ class ShardCallError(ZipGError):
     """A per-shard work item raised while fanning out a query."""
 
 
-class DeadlineExceeded(ShardCallError):
-    """A shard call exceeded its per-call deadline.
-
-    Deadlines are enforced cooperatively: the call runs to completion
-    but its result is discarded and the call is treated as failed
-    (retryable) once the elapsed wall time passes the deadline."""
-
-
 class TransportError(ShardCallError):
     """An RPC to a shard server failed at the transport layer.
 
     Covers connection refusal, resets mid-call, torn or oversized
-    frames, and socket timeouts.  Deliberately an :class:`Exception`
-    (not a crash): the executor's retry loop and the replicated
-    cluster's failover treat it as one failed, retryable attempt."""
+    frames, and socket timeouts (``timeout_s`` is what bounds a stalled
+    call).  Deliberately an :class:`Exception` (not a crash): the
+    replicated cluster's failover treats it as one failed attempt and
+    moves on to the next live replica."""
 
 
 class GatewayError(ZipGError):

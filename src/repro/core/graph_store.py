@@ -292,11 +292,6 @@ class ZipG(GraphStoreInterface):
         # Replica side of ``apply_write``: which master records this
         # store already holds (see apply_replicated_record).
         self._replica_mark = ReplicaMark()
-        # Fan-out failure-semantics knobs (plumbed from the cluster
-        # layer); passed to every executor.map a query issues.
-        self.retries = 0
-        self.backoff_s = 0.0
-        self.deadline_s: Optional[float] = None
         _publish_store_metrics(self)
 
     # ------------------------------------------------------------------
@@ -550,11 +545,7 @@ class ZipG(GraphStoreInterface):
     def _search_nodes(self, property_list: PropertyList) -> List[int]:
         locations: List = [self._logstore] + self._shards
         hits = self.executor.map(
-            lambda location: location.find_live_nodes(property_list),
-            locations,
-            retries=self.retries,
-            backoff_s=self.backoff_s,
-            deadline_s=self.deadline_s,
+            lambda location: location.find_live_nodes(property_list), locations
         )
         result: set = set()
         for shard_hits in hits:
@@ -741,9 +732,6 @@ class ZipG(GraphStoreInterface):
         hits = self.executor.map(
             lambda location: location.find_edges_by_property(property_id, value),
             locations,
-            retries=self.retries,
-            backoff_s=self.backoff_s,
-            deadline_s=self.deadline_s,
         )
         results = [hit for shard_hits in hits for hit in shard_hits]
         results.sort(key=lambda hit: (hit[0], hit[1], hit[2].timestamp, hit[2].destination))
@@ -757,9 +745,6 @@ class ZipG(GraphStoreInterface):
         """Attach a :class:`repro.core.wal.WriteAheadLog`: from now on
         every mutation is durably logged before it is applied."""
         self._wal = wal
-
-    def detach_wal(self) -> None:
-        self._wal = None
 
     @property
     def wal(self) -> Optional[object]:

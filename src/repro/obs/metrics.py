@@ -266,11 +266,6 @@ class MetricsRegistry:
             self._collectors.append(collector)
         return collector
 
-    def unregister_collector(self, collector: Collector) -> None:
-        with self._lock:
-            if collector in self._collectors:
-                self._collectors.remove(collector)
-
     def collected_counters(self) -> Dict[str, float]:
         """Additive merge of every live collector's counter mapping."""
         with self._lock:

@@ -8,8 +8,8 @@ a :class:`~repro.server.shard_server.RpcServerBase` whose requests
 dispatch against a
 :class:`~repro.cluster.replication.ReplicatedZipGCluster` whose
 transport points at the shard servers, so every query inherits replica
-failover, retries/backoff/deadline, and ``partial_results``
-degradation unchanged.
+failover (``--retries`` extra passes per broadcast unit) and
+``partial_results`` degradation unchanged.
 
 The client-visible method surface is an explicit allowlist -- the
 :class:`~repro.core.interface.GraphStoreInterface` query/update

@@ -33,7 +33,6 @@ import socket
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.core.errors import (
-    DeadlineExceeded,
     EdgeRecordNotFound,
     FragmentCorruptError,
     GatewayClosed,
@@ -69,7 +68,6 @@ _EXCEPTION_TYPES: Dict[str, Type[BaseException]] = {
         NodeNotFound,
         EdgeRecordNotFound,
         ShardCallError,
-        DeadlineExceeded,
         TransportError,
         RecoveryError,
         ManifestCorruptError,

@@ -22,10 +22,10 @@ of the gateway).
 Failure mapping is the heart of the seam: every transport-layer
 failure -- connection refused, reset mid-call, torn or oversized
 frame, socket timeout -- surfaces as a retryable
-:class:`~repro.core.errors.TransportError`, so the executor's
-retry/backoff/deadline machinery and the cluster's replica failover
-treat a dead network peer exactly like an injected
-``replication.replica_call`` fault.  Exceptions raised *by the remote
+:class:`~repro.core.errors.TransportError`, so the cluster's replica
+failover treats a dead network peer exactly like an injected
+``replication.replica_call`` fault; the socket ``timeout_s`` is what
+bounds a stalled call.  Exceptions raised *by the remote
 operation* (e.g. ``NodeNotFound``) decode and re-raise as themselves;
 :class:`~repro.chaos.SimulatedCrash` stays a ``BaseException`` and is
 never swallowed into a retry.
@@ -62,20 +62,18 @@ class Transport(ABC):
 class InProcessTransport(Transport):
     """All virtual servers answer from one shared local store.
 
-    ``apply_write`` acknowledges without re-applying: the master
-    already mutated the (shared) store, so applying again would double
-    every write.  Pass ``apply_writes=True`` only when this transport
-    fronts a store object the writer does *not* share."""
+    ``apply_write`` always acknowledges without re-applying: the
+    master already mutated the shared store, so applying again would
+    double every write."""
 
-    def __init__(self, store: ZipG, apply_writes: bool = False) -> None:
+    def __init__(self, store: ZipG) -> None:
         self.store = store
-        self.apply_writes = apply_writes
 
     def call(self, server_id: int, method: str, args: List[object],
              unit: Optional[int] = None,
              kwargs: Optional[Dict[str, object]] = None) -> object:
         return ops.run_op(self.store, method, list(args), kwargs=kwargs,
-                          unit=unit, apply_writes=self.apply_writes)
+                          unit=unit, apply_writes=False)
 
 
 class _ConnectionPool:

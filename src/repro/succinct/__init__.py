@@ -8,8 +8,6 @@ Succinct (Agarwal et al., NSDI 2015) that ZipG builds on:
   search) directly on a compressed representation built from a sampled
   suffix array, a sampled inverse suffix array and the next-pointer
   array (NPA).
-* :class:`~repro.succinct.kv.SuccinctKV` -- a key-value interface
-  layered on the flat file.
 
 Compression is controlled by the sampling rate ``alpha``: storage is
 roughly ``2 * n * ceil(log2 n) / alpha`` bits for the two sampled arrays
@@ -24,7 +22,6 @@ from repro.succinct.coding import (
     varint_decode,
     varint_encode,
 )
-from repro.succinct.kv import SuccinctKV
 from repro.succinct.npa import NextPointerArray
 from repro.succinct.stats import AccessStats
 from repro.succinct.succinct_file import SuccinctFile
@@ -35,7 +32,6 @@ __all__ = [
     "BitVector",
     "NextPointerArray",
     "SuccinctFile",
-    "SuccinctKV",
     "build_suffix_array",
     "delta_encoded_bit_size",
     "elias_gamma_bit_size",

@@ -117,12 +117,6 @@ def encoding_class(name: str) -> type:
         ) from None
 
 
-def encoding_names() -> Tuple[str, ...]:
-    """All registered codec tags, sorted."""
-    _ensure_builtin_encodings()
-    return tuple(sorted(_REGISTRY))
-
-
 def build_flat_file(
     data: bytes,
     alpha: int = 32,

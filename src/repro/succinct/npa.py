@@ -119,19 +119,6 @@ class NextPointerArray:
     def __len__(self) -> int:
         return len(self._npa)
 
-    @property
-    def npa_array(self) -> np.ndarray:
-        """The raw NPA values (an owned copy)."""
-        return self._npa.copy()  # zipg: owned-copy
-
-    @property
-    def bucket_chars(self) -> np.ndarray:
-        return self._bucket_chars.copy()  # zipg: owned-copy
-
-    @property
-    def bucket_starts(self) -> np.ndarray:
-        return self._bucket_starts.copy()  # zipg: owned-copy
-
     def arrays_for_write(self) -> tuple:
         """``(npa, bucket_chars, bucket_starts)`` without copies.
 

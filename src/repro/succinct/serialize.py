@@ -85,11 +85,6 @@ def _frame_chunks(sections: Dict[str, SectionPayload]) -> List[memoryview]:
     return chunks
 
 
-def sections_nbytes(sections: Dict[str, SectionPayload]) -> int:
-    """Framed size of ``sections`` without materializing the frame."""
-    return sum(chunk.nbytes for chunk in _frame_chunks(sections))
-
-
 def write_sections(handle: IO[bytes], sections: Dict[str, SectionPayload]) -> int:
     """Stream the framed sections to ``handle`` chunk-by-chunk.
 

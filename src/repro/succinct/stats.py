@@ -10,8 +10,8 @@ the engine's measured footprint versus the configured memory budget.
 Thread safety: the plain ``stats.counter += n`` increments on the hot
 paths are *not* atomic, so a single :class:`AccessStats` instance must
 only be mutated from one thread at a time. The shard fan-out
-(:class:`repro.core.executor.ShardExecutor`) runs on the query's own
-thread, so it never splits one query's increments across threads;
+(:class:`repro.core.executor.ShardExecutor`) is a plain loop on the
+query's own thread, so it never splits one query's increments across threads;
 cross-thread aggregation goes through the locked :meth:`merge`,
 :meth:`add`, :meth:`snapshot` and :meth:`reset` methods.
 """

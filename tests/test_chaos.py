@@ -1,14 +1,12 @@
-"""repro.chaos: deterministic fault injection + resilient executor."""
+"""repro.chaos: deterministic fault injection + the executor's chaos site."""
 
 import io
-import threading
 import time
 
 import pytest
 
 from repro import chaos
 from repro.chaos import ChaosInjector, FaultInjected, FaultRule, SimulatedCrash
-from repro.core.errors import DeadlineExceeded
 from repro.core.executor import ShardExecutor, ShardResult
 
 
@@ -155,143 +153,44 @@ class TestInstallation:
 
 
 # ----------------------------------------------------------------------
-# Resilient executor
+# Executor fan-out
 # ----------------------------------------------------------------------
 
 
-class Flaky:
-    """Callable failing the first ``fail_first`` invocations per item."""
-
-    def __init__(self, fail_first):
-        self.fail_first = fail_first
-        self.calls = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, item):
-        with self._lock:
-            seen = self.calls.get(item, 0)
-            self.calls[item] = seen + 1
-        if seen < self.fail_first:
-            raise RuntimeError(f"flaky {item} attempt {seen}")
-        return item * 10
-
-
 class TestExecutorResilience:
-    @pytest.mark.parametrize("fail_first", [1, 4])
-    def test_retries_recover_flaky_items(self, fail_first):
-        flaky = Flaky(fail_first)
-        assert ShardExecutor().map(flaky, [1, 2, 3], retries=fail_first) == [10, 20, 30]
-        assert flaky.calls == {1: fail_first + 1, 2: fail_first + 1, 3: fail_first + 1}
+    def test_first_failure_propagates(self):
+        calls = []
 
-    def test_failure_propagates_when_retries_exhausted(self):
+        def fail_on_two(item):
+            calls.append(item)
+            if item == 2:
+                raise RuntimeError(f"kaput {item}")
+            return item
+
         with pytest.raises(RuntimeError):
-            ShardExecutor().map(Flaky(3), [1, 2], retries=1)
+            ShardExecutor().map(fail_on_two, [1, 2, 3])
+        assert calls == [1, 2]
 
-    @pytest.mark.parametrize("retries", [1, 3])
-    def test_partial_mode_returns_structured_results(self, retries):
+    @pytest.mark.parametrize("calls", [1, 3])
+    def test_partial_mode_returns_structured_results(self, calls):
+        seen = []
+
         def only_even(item):
+            seen.append(item)
             if item % 2:
                 raise ValueError(f"odd {item}")
             return item
 
-        results = ShardExecutor().map(only_even, [0, 1, 2, 3],
-                                      retries=retries, partial=True)
-        assert [r.index for r in results] == [0, 1, 2, 3]
-        assert all(isinstance(r, ShardResult) for r in results)
-        assert [r.ok for r in results] == [True, False, True, False]
-        assert results[2].value == 2
-        assert isinstance(results[1].error, ValueError)
-        assert results[1].attempts == retries + 1
-        assert results[0].attempts == 1
-
-    def test_deadline_converts_slow_calls(self):
-        def slow(item):
-            time.sleep(0.03)
-            return item
-
         executor = ShardExecutor()
-        results = executor.map(slow, [1], deadline_s=0.001, partial=True)
-        assert not results[0].ok
-        assert isinstance(results[0].error, DeadlineExceeded)
-
-    def test_deadline_retry_can_succeed(self):
-        """A fast failure retried within the remaining budget succeeds
-        (the budget spans all attempts, not each one separately)."""
-        calls = []
-
-        def fail_once(item):
-            calls.append(item)
-            if len(calls) == 1:
-                raise ValueError("transient")
-            return item
-
-        executor = ShardExecutor()
-        assert executor.map(fail_once, [5], deadline_s=5.0, retries=1) == [5]
-        assert len(calls) == 2
-
-    def test_deadline_budgets_whole_retry_loop(self):
-        """Regression: the deadline used to reset per attempt, so
-        ``1 + retries`` slow attempts each got a fresh budget.  Now a
-        first attempt that burns the whole budget makes the retry's
-        result arrive over-deadline: total wall time stays bounded by
-        ``deadline_s`` plus one attempt."""
-        calls = []
-
-        def slow(item):
-            calls.append(item)
-            time.sleep(0.03)
-            return item
-
-        executor = ShardExecutor()
-        begin = time.monotonic()
-        results = executor.map(slow, [5], deadline_s=0.02, retries=3,
-                               partial=True)
-        wall = time.monotonic() - begin
-        assert not results[0].ok
-        assert isinstance(results[0].error, DeadlineExceeded)
-        # Old behavior: 4 attempts x 0.03s each = ~0.12s. New: the
-        # budget (0.02s) plus at most one extra attempt (0.03s).
-        assert len(calls) <= 2
-        assert wall < 0.03 * 3
-
-    def test_deadline_budget_exhausted_stops_retrying(self):
-        """A failure with no budget left must not burn more attempts;
-        the result chains the attempt's error under DeadlineExceeded."""
-        calls = []
-
-        def slow_fail(item):
-            calls.append(item)
-            time.sleep(0.03)
-            raise ValueError("kaput")
-
-        executor = ShardExecutor()
-        results = executor.map(slow_fail, [5], deadline_s=0.02,
-                               retries=5, partial=True)
-        assert len(calls) == 1
-        assert not results[0].ok
-        assert isinstance(results[0].error, DeadlineExceeded)
-        assert isinstance(results[0].error.__cause__, ValueError)
-
-    def test_deadline_skips_backoff_that_overruns_budget(self):
-        """A backoff sleep larger than the remaining budget is skipped
-        so the final attempt gets the time instead of the pillow."""
-        calls = []
-
-        def fail_once(item):
-            calls.append(item)
-            if len(calls) == 1:
-                raise ValueError("transient")
-            return item
-
-        executor = ShardExecutor()
-        begin = time.monotonic()
-        # backoff_s far exceeds the budget: sleeping would make the
-        # retry pointless, so it must be skipped and still succeed.
-        assert executor.map(fail_once, [5], deadline_s=0.5,
-                            retries=1, backoff_s=10.0) == [5]
-        wall = time.monotonic() - begin
-        assert len(calls) == 2
-        assert wall < 1.0
+        for _ in range(calls):
+            results = executor.map(only_even, [0, 1, 2, 3], partial=True)
+            assert [r.index for r in results] == [0, 1, 2, 3]
+            assert all(isinstance(r, ShardResult) for r in results)
+            assert [r.ok for r in results] == [True, False, True, False]
+            assert results[2].value == 2
+            assert isinstance(results[1].error, ValueError)
+        # No retries: every item, failed or not, is called once per map.
+        assert seen == [0, 1, 2, 3] * calls
 
     def test_chaos_site_fires_inside_executor(self):
         injector = ChaosInjector(
@@ -300,7 +199,10 @@ class TestExecutorResilience:
         )
         with chaos.injected(injector):
             executor = ShardExecutor()
-            assert executor.map(lambda x: x, [7, 8, 9], retries=1) == [7, 8, 9]
+            results = executor.map(lambda x: x, [7, 8, 9], partial=True)
+            assert [r.ok for r in results] == [True, False, True]
+            assert isinstance(results[1].error, FaultInjected)
+            assert executor.map(lambda x: x, [7, 8, 9]) == [7, 8, 9]
         assert injector.injection_log == [(chaos.SITE_EXECUTOR_CALL, "error")]
 
     def test_simulated_crash_is_not_retried(self):
@@ -310,10 +212,4 @@ class TestExecutorResilience:
         with chaos.injected(injector):
             executor = ShardExecutor()
             with pytest.raises(SimulatedCrash):
-                executor.map(lambda x: x, [1], retries=5, partial=True)
-
-    def test_backoff_waits_between_attempts(self):
-        start = time.monotonic()
-        executor = ShardExecutor()
-        executor.map(Flaky(1), [1], retries=1, backoff_s=0.02)
-        assert time.monotonic() - start >= 0.02
+                executor.map(lambda x: x, [1], partial=True)

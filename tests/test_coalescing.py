@@ -1,6 +1,5 @@
-"""Single-flight coalescing (repro.perf.coalesce), the cluster's
-shared broadcast fan-outs, and the cluster retry/backoff/deadline
-knobs flowing through the coalesced broadcast path."""
+"""Single-flight coalescing (repro.perf.coalesce) and the cluster's
+shared broadcast fan-outs."""
 
 import threading
 import time
@@ -11,7 +10,6 @@ from repro import chaos, obs
 from repro.chaos import ChaosInjector, FaultInjected, FaultRule
 from repro.cluster.replication import ReplicatedZipGCluster
 from repro.core import GraphData, ZipG
-from repro.core.errors import DeadlineExceeded
 from repro.obs.metrics import Counter
 from repro.perf import SingleFlight
 
@@ -247,7 +245,7 @@ class TestMapShared:
 
 
 # ----------------------------------------------------------------------
-# Cluster knobs through the coalesced broadcast
+# The cluster's coalesced broadcast
 # ----------------------------------------------------------------------
 
 
@@ -271,16 +269,6 @@ class TestClusterKnobs:
         cluster.get_node_ids({"city": "Ithaca"})
         assert keys[2] != keys[1]
 
-    def test_retries_knob_reaches_broadcast_fanout(self):
-        store = build_store()
-        cluster = ReplicatedZipGCluster(store, num_servers=2,
-                                        replication_factor=1, retries=1)
-        chaos.install(ChaosInjector(rules=[
-            FaultRule(site=chaos.SITE_EXECUTOR_CALL, times=1),
-        ]))
-        # First shard call fails once; the plumbed retry absorbs it.
-        assert cluster.get_node_ids({"city": "Ithaca"}) == [1, 3]
-
     def test_no_retries_control(self):
         store = build_store()
         cluster = ReplicatedZipGCluster(store, num_servers=2,
@@ -290,44 +278,3 @@ class TestClusterKnobs:
         ]))
         with pytest.raises(FaultInjected):
             cluster.get_node_ids({"city": "Ithaca"})
-
-    def test_backoff_knob_paces_broadcast_retries(self, monkeypatch):
-        from repro.core import executor as executor_module
-
-        sleeps = []
-        monkeypatch.setattr(executor_module.time, "sleep",
-                            lambda seconds: sleeps.append(seconds))
-        store = build_store()
-        cluster = ReplicatedZipGCluster(store, num_servers=2,
-                                        replication_factor=1, retries=1,
-                                        backoff_s=0.05)
-        chaos.install(ChaosInjector(rules=[
-            FaultRule(site=chaos.SITE_EXECUTOR_CALL, times=1),
-        ]))
-        assert cluster.get_node_ids({"city": "Ithaca"}) == [1, 3]
-        assert 0.05 in sleeps
-
-    def test_deadline_knob_bounds_broadcast_calls(self):
-        store = build_store()
-        cluster = ReplicatedZipGCluster(store, num_servers=2,
-                                        replication_factor=1,
-                                        deadline_s=0.01)
-        chaos.install(ChaosInjector(rules=[
-            FaultRule(site=chaos.SITE_EXECUTOR_CALL, fault="latency",
-                      latency_s=0.1, times=1),
-        ]))
-        with pytest.raises(DeadlineExceeded):
-            cluster.get_node_ids({"city": "Ithaca"})
-
-    def test_store_level_queries_inherit_cluster_knobs(self):
-        store = build_store()
-        ReplicatedZipGCluster(store, num_servers=2, replication_factor=1,
-                              retries=2, backoff_s=0.01, deadline_s=5.0)
-        assert store.retries == 2
-        assert store.backoff_s == 0.01
-        assert store.deadline_s == 5.0
-        chaos.install(ChaosInjector(rules=[
-            FaultRule(site=chaos.SITE_EXECUTOR_CALL, times=2),
-        ]))
-        # Store-level fan-out (not the cluster broadcast) also retries.
-        assert store.get_node_ids({"city": "Ithaca"}) == [1, 3]

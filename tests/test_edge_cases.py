@@ -9,7 +9,6 @@ from repro.core import GraphData, NodeNotFound, ZipG, WILDCARD
 from repro.core.delimiters import DelimiterMap
 from repro.core.edgefile import EdgeFile
 from repro.core.errors import GraphFormatError
-from repro.succinct import SuccinctKV
 
 
 class TestEmptyStores:
@@ -63,10 +62,6 @@ class TestInvalidArguments:
         graph.add_node(1, {"a": "bad\x02value"})
         with pytest.raises(GraphFormatError):
             ZipG.compress(graph, num_shards=1, alpha=4)
-
-    def test_kv_interface_rejects_record_delimiter(self):
-        with pytest.raises(ValueError):
-            SuccinctKV({1: bytes([0x1E])})
 
 
 class TestWildcardSemantics:

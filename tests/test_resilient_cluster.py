@@ -19,7 +19,7 @@ from conftest import (
     socket_transport_enabled,
 )
 from repro import chaos, obs
-from repro.chaos import ChaosInjector, FaultRule
+from repro.chaos import ChaosInjector, FaultInjected, FaultRule
 from repro.cluster import PartialResult, ReplicatedZipGCluster, ShardUnavailable
 from repro.cluster.replication import LOGSTORE_UNIT
 from repro.core import GraphData, NodeNotFound, ReplicaCallError, ZipG
@@ -220,6 +220,68 @@ class TestPartialResults:
         result = cluster.get_node_ids({"kind": "x"}, partial_results=True)
         assert result.complete and result.errors == []
         assert result.value == store.get_node_ids({"kind": "x"})
+
+
+class TestBroadcastRetries:
+    """``retries`` adds :meth:`_failover` passes to a broadcast unit
+    whose candidates all failed; point reads make one pass."""
+
+    def unit_faults(self, store):
+        """One injected ``replica_call`` fault per broadcast unit."""
+        units = [LOGSTORE_UNIT] + [shard.shard_id for shard in store.shards]
+        return ChaosInjector(rules=[
+            FaultRule(site=chaos.SITE_REPLICA_CALL, match={"shard": unit},
+                      times=1)
+            for unit in units
+        ]), len(units)
+
+    def test_one_fault_per_unit_is_absorbed(self):
+        cluster, store = build_cluster(replication_factor=1, retries=1)
+        expected_nodes = store.get_node_ids({"kind": "x"})
+        expected_edges = store.find_edges("w", "1")
+        injector, units = self.unit_faults(store)
+        with chaos.injected(injector):
+            result = cluster.get_node_ids({"kind": "x"}, partial_results=True)
+        assert result.complete and result.value == expected_nodes
+        assert len(injector.injection_log) == units
+        injector, units = self.unit_faults(store)
+        with chaos.injected(injector):
+            assert cluster.find_edges("w", "1") == expected_edges
+        assert len(injector.injection_log) == units
+
+    def test_without_retries_the_fault_is_the_units_error(self):
+        cluster, _ = build_cluster(replication_factor=1, retries=0)
+        injector = ChaosInjector(rules=[
+            FaultRule(site=chaos.SITE_REPLICA_CALL, match={"shard": 1},
+                      times=1),
+        ])
+        with chaos.injected(injector):
+            result = cluster.get_node_ids({"kind": "x"}, partial_results=True)
+        assert [e.shard_id for e in result.errors] == [1]
+        assert isinstance(result.errors[0].error, ReplicaCallError)
+        assert result.errors[0].servers_tried == cluster.replica_servers(1)
+
+    def test_point_read_makes_one_pass(self):
+        cluster, store = build_cluster(replication_factor=1, retries=1)
+        injector = ChaosInjector(rules=[
+            FaultRule(site=chaos.SITE_REPLICA_CALL,
+                      match={"shard": store.route(3)}, times=1),
+        ])
+        with chaos.injected(injector):
+            with pytest.raises(ReplicaCallError):
+                cluster.get_node_property(3, "name")
+
+    def test_cluster_leaves_the_store_policy_alone(self):
+        """The cluster's retries apply to its own broadcasts only: a
+        fan-out fault on the bare store still reaches the caller."""
+        cluster, store = build_cluster(num_servers=2, retries=2)
+        assert cluster.retries == 2
+        injector = ChaosInjector(rules=[
+            FaultRule(site=chaos.SITE_EXECUTOR_CALL, times=1),
+        ])
+        with chaos.injected(injector):
+            with pytest.raises(FaultInjected):
+                store.get_node_ids({"kind": "x"})
 
 
 class TestThreadSafety:
