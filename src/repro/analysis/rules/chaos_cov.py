@@ -22,8 +22,8 @@ unless the I/O is *behind a chaos site*, meaning one of:
   ``chaos.crash_point`` / ``chaos.write_bytes``; or
 * every scanned caller (receiver-aware call graph, transitively) is
   itself covered or lives in the chaos package -- e.g. ``fsync_dir``
-  is only called from ``save_store`` and the EC commit paths, whose
-  chaos sites bracket it; or
+  is only called from ``persistence.write_atomic``, whose chaos sites
+  bracket it; or
 * the I/O lives in a *chaos handle* class -- one whose constructor
   appears inside the arguments of a chaos hook call, like
   ``chaos.write_bytes(SITE, _SocketWriter(sock), frame)``: the object

@@ -229,8 +229,7 @@ def _cmd_query(args) -> int:
 def _cmd_verify_store(args) -> int:
     from repro.core.persistence import verify_store
 
-    report = verify_store(args.root, ec_root=args.ec_root,
-                          chunk_bytes=args.chunk_bytes)
+    report = verify_store(args.root, ec_root=args.ec_root)
     if args.json:
         import json
 
@@ -458,10 +457,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    "directory")
     verify_store.add_argument("--json", action="store_true",
                               help="emit the typed report as JSON")
-    verify_store.add_argument("--chunk-bytes", type=int, default=1 << 20,
-                              help="streaming CRC chunk size; the audit "
-                                   "never holds more than this per file, "
-                                   "so larger-than-RAM stores verify fine")
 
     ec_encode = commands.add_parser(
         "ec-encode", help="erasure-code a graph's snapshot into placed "

@@ -31,7 +31,7 @@ from repro.core.errors import (
 )
 from repro.core.executor import ShardExecutor, ShardResult
 from repro.core.graph_store import ZipG
-from repro.core.wal import WalConfig, WalRecord, WriteAheadLog
+from repro.core.wal import WalRecord, WriteAheadLog
 from repro.core.model import (
     WILDCARD,
     Edge,
@@ -59,7 +59,6 @@ __all__ = [
     "StoreVersionConflictError",
     "UnsupportedVersionError",
     "WILDCARD",
-    "WalConfig",
     "WalRecord",
     "WriteAheadLog",
     "ZipG",

@@ -22,7 +22,7 @@ Reserved control bytes (never assigned as property delimiters):
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.core.errors import GraphFormatError, TooManyProperties
 
@@ -43,12 +43,22 @@ MAX_PROPERTIES = len(_POOL) * len(_POOL)
 
 # Property values may use any byte >= 0x20 (plus none of the above).
 MIN_VALUE_BYTE = 0x20
+_CONTROL = b"\\x00-\\x%02x" % (MIN_VALUE_BYTE - 1)  # regex class body
+_RESERVED_BYTE = re.compile(b"[%s]" % _CONTROL)
 
 
-def validate_property_value(value: str) -> bytes:
-    """Encode a property value, rejecting reserved control bytes."""
-    encoded = value.encode("utf-8")
-    if any(byte < MIN_VALUE_BYTE for byte in encoded):
+def validate_property_value(value: object) -> bytes:
+    """Encode a property value, rejecting anything but a ``str`` that
+    encodes to UTF-8 without reserved control bytes."""
+    if not isinstance(value, str):
+        raise GraphFormatError(f"property value {value!r} is not a str")
+    try:
+        encoded = value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise GraphFormatError(
+            f"property value {value!r} is not valid UTF-8: {exc}"
+        ) from None
+    if _RESERVED_BYTE.search(encoded):
         raise GraphFormatError(
             f"property value {value!r} contains reserved control bytes"
         )
@@ -84,9 +94,8 @@ class DelimiterMap:
         # Values never hold a byte below MIN_VALUE_BYTE, so a serialized
         # field is exactly one delimiter plus the run of value bytes
         # after it: one C-level findall splits a whole payload.
-        control = b"\\x00-\\x%02x" % (MIN_VALUE_BYTE - 1)
         self._field = re.compile(
-            b"([%s]{%d})([^%s]*)" % (control, self.delimiter_width, control)
+            b"([%s]{%d})([^%s]*)" % (_CONTROL, self.delimiter_width, _CONTROL)
         )
 
     def __len__(self) -> int:
@@ -131,6 +140,19 @@ class DelimiterMap:
     # Serialization of property lists
     # ------------------------------------------------------------------
 
+    def check_properties(self, properties: Mapping[str, object]) -> None:
+        """Reject a PropertyList the serializers cannot write: an
+        unknown PropertyID, or a value :func:`validate_property_value`
+        rejects (``None`` is an absent value).  The write path calls
+        this before logging an append, so a bad write fails at once
+        instead of at the next freeze."""
+        unknown = [pid for pid in properties if pid not in self._order]
+        if unknown:
+            raise GraphFormatError(f"unknown PropertyIDs {sorted(unknown)!r}")
+        for value in properties.values():
+            if value is not None:
+                validate_property_value(value)
+
     def serialize_values(self, properties: Dict[str, str]) -> Tuple[bytes, List[int]]:
         """Serialize ``properties`` to delimiter-prefixed values.
 
@@ -139,9 +161,7 @@ class DelimiterMap:
         in order (absent ones contribute a bare delimiter, as in Fig. 1)
         and ``lengths[k]`` is the encoded length of the k-th value.
         """
-        unknown = set(properties) - set(self._order)
-        if unknown:
-            raise GraphFormatError(f"unknown PropertyIDs {sorted(unknown)!r}")
+        self.check_properties(properties)
         payload = bytearray()
         lengths: List[int] = []
         for property_id, delimiter in zip(self._ordered, self._delimiters):
@@ -150,7 +170,7 @@ class DelimiterMap:
             if value is None:
                 lengths.append(0)
             else:
-                encoded = validate_property_value(value)
+                encoded = value.encode("utf-8")
                 payload.extend(encoded)
                 lengths.append(len(encoded))
         return bytes(payload), lengths
@@ -159,15 +179,13 @@ class DelimiterMap:
         """Serialize only the *present* properties (edge PropertyLists,
         §3.3: delimiter-separated values, boundaries marked by the
         delimiters themselves)."""
+        self.check_properties(properties)
         payload = bytearray()
         for property_id in self._ordered:
             value = properties.get(property_id)
             if value is not None:
                 payload.extend(self._delimiters[self._order[property_id]])
-                payload.extend(validate_property_value(value))
-        unknown = set(properties) - set(self._order)
-        if unknown:
-            raise GraphFormatError(f"unknown PropertyIDs {sorted(unknown)!r}")
+                payload.extend(value.encode("utf-8"))
         return bytes(payload)
 
     def parse_values(self, payload: bytes) -> Dict[str, str]:

@@ -756,8 +756,13 @@ class ZipG(GraphStoreInterface):
 
     @obs.traced("graph_store.append_node", layer="graph_store")
     def append_node(self, node_id: int, properties: PropertyList) -> None:
-        """Append a (new version of a) node with its PropertyList."""
-        self._wal_log("node", [node_id, dict(properties)])
+        """Append a (new version of a) node with its PropertyList.
+
+        A PropertyList the next freeze could not serialize raises
+        :class:`GraphFormatError` before anything is logged or applied."""
+        properties = dict(properties)
+        self._delimiters.check_properties(properties)
+        self._wal_log("node", [node_id, properties])
         self._apply_append_node(node_id, properties)
         self._maybe_freeze()
 
@@ -775,8 +780,10 @@ class ZipG(GraphStoreInterface):
         timestamp: int = 0,
         properties: Optional[PropertyList] = None,
     ) -> None:
-        """Append one edge to the (source, edge_type) EdgeRecord."""
+        """Append one edge to the (source, edge_type) EdgeRecord
+        (a bad PropertyList raises as in :meth:`append_node`)."""
         properties = dict(properties or {})
+        self._delimiters.check_properties(properties)
         self._wal_log("edge", [source, edge_type, destination, timestamp, properties])
         self._apply_append_edge(source, edge_type, destination, timestamp, properties)
         self._maybe_freeze()

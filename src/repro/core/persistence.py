@@ -18,6 +18,10 @@ Python reproduction -- with real crash safety:
   snapshot survives the crash too.
 * :func:`attach_wal` arms an in-memory store with a WAL under the
   store root, closing the snapshot-to-snapshot loss window.
+* :func:`write_file`, :func:`write_atomic`, :func:`read_manifest`,
+  :func:`read_checked` and :func:`crc32` are the one durable-file
+  idiom; the erasure-coding layer (:mod:`repro.ec.striping`) commits
+  and checks its manifest and fragments through them too.
 
 On-disk layout (format version 4)::
 
@@ -58,14 +62,16 @@ import os
 import re
 import time
 import zlib
-from dataclasses import dataclass, field
-from typing import IO, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import IO, Dict, List, Optional, Tuple, Type, Union
 
 from repro import chaos, obs
 from repro.core.delimiters import DelimiterMap
 from repro.core.errors import (
+    FragmentCorruptError,
     ManifestCorruptError,
     ManifestMissingError,
+    RecoveryError,
     SnapshotCorruptError,
     StoreVersionConflictError,
     UnsupportedVersionError,
@@ -77,7 +83,6 @@ from repro.core.shard import CompressedShard
 from repro.succinct.serialize import SectionPayload, write_sections
 from repro.core.wal import (
     WAL_FILENAME,
-    WalConfig,
     WriteAheadLog,
     read_records,
     repair_torn_tail,
@@ -85,13 +90,11 @@ from repro.core.wal import (
 
 MANIFEST_VERSION = 4
 
-#: Manifest versions :func:`load_store` accepts.
-_SUPPORTED_VERSIONS = (MANIFEST_VERSION,)
-
 MANIFEST_NAME = "manifest.json"
 
-#: Chunk size for streaming CRC audits (:func:`verify_store`).
-DEFAULT_VERIFY_CHUNK_BYTES = 1 << 20
+#: Chunk size of :func:`read_checked`'s streaming CRC pass, so an audit
+#: holds at most this much of any file in memory.
+VERIFY_CHUNK_BYTES = 1 << 20
 
 #: Crash points fired (in order) during :func:`save_store`.  The chaos
 #: suite kills the process model at each of them and asserts
@@ -108,62 +111,50 @@ SAVE_CRASH_POINTS = (
 _GENERATION_FILE_RE = re.compile(
     r"^(?:shard-\d+|logstore|pointers)\.g(?P<gen>\d+)\.(?:bin|json)$"
 )
-_LEGACY_FILE_RE = re.compile(r"^(?:shard-\d+\.bin|logstore\.json|pointers\.json)$")
 
 
-def _crc32(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def _write_file(root: str, name: str, data: bytes, fsync: bool) -> Dict[str, int]:
-    """Write one snapshot file (torn-write injectable) and fsync it."""
-    path = os.path.join(root, name)
-    with open(path, "wb") as handle:
-        chaos.write_bytes(chaos.SITE_SAVE_WRITE, handle, data, file=name)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    return {"crc32": _crc32(data), "bytes": len(data)}
+def crc32(data: bytes, value: int = 0) -> int:
+    """Unsigned CRC32 of ``data``, continuing from ``value``."""
+    return zlib.crc32(data, value) & 0xFFFFFFFF
 
 
 class _MeteredWriter:
-    """File-handle facade for streaming section writes.
+    """File-handle facade that routes every chunk through one chaos
+    torn-write site while the CRC32 and byte count a manifest entry
+    records accumulate incrementally, so a streamed payload is never
+    materialised in memory."""
 
-    Every chunk goes through the same chaos torn-write site as
-    :func:`_write_file` (so fault-injected saves can still crash
-    mid-shard with only a prefix persisted) while the CRC32 and byte
-    count the manifest records accumulate incrementally -- the full
-    serialized blob never exists in memory.
-    """
-
-    def __init__(self, handle: IO[bytes], name: str) -> None:
+    def __init__(self, handle: IO[bytes], site: str,
+                 tags: Dict[str, object]) -> None:
         self._handle = handle
-        self._name = name
+        self._site = site
+        self._tags = tags
         self.crc32 = 0
         self.nbytes = 0
 
     def write(self, data: bytes) -> int:
-        chaos.write_bytes(chaos.SITE_SAVE_WRITE, self._handle, data,
-                          file=self._name)
+        chaos.write_bytes(self._site, self._handle, data, **self._tags)
         # Only reached if the chunk landed whole; a torn write raises
         # out of chaos.write_bytes and the partial CRC is discarded.
-        self.crc32 = zlib.crc32(data, self.crc32) & 0xFFFFFFFF
+        self.crc32 = crc32(data, self.crc32)
         self.nbytes += len(data)
         return len(data)
 
 
-def _write_file_sections(
-    root: str, name: str, sections: Dict[str, SectionPayload], fsync: bool
-) -> Dict[str, int]:
-    """Stream one snapshot file section-by-section and fsync it.
+def write_file(path: str, data: Union[bytes, Dict[str, SectionPayload]],
+               site: str, fsync: bool, **tags: object) -> Dict[str, int]:
+    """Write one file through chaos site ``site`` (tagged ``tags``),
+    flush and optionally fsync it; returns its manifest entry
+    ``{"crc32", "bytes"}``.
 
-    Equivalent to ``_write_file(root, name, pack_sections(sections))``
-    -- byte-identical output, same crash points -- without ever
-    concatenating the payload chunks."""
-    path = os.path.join(root, name)
+    ``data`` is a payload or a section mapping, which is streamed out
+    section by section (byte-identical to ``pack_sections``)."""
     with open(path, "wb") as handle:
-        writer = _MeteredWriter(handle, name)
-        write_sections(writer, sections)
+        writer = _MeteredWriter(handle, site, tags)
+        if isinstance(data, dict):
+            write_sections(writer, data)
+        else:
+            writer.write(data)
         handle.flush()
         if fsync:
             os.fsync(handle.fileno())
@@ -171,7 +162,7 @@ def _write_file_sections(
 
 
 def fsync_dir(root: str) -> None:
-    """Make the rename itself durable (POSIX: fsync the directory)."""
+    """Make a rename durable (POSIX: fsync the directory)."""
     try:
         fd = os.open(root, os.O_RDONLY)
     except OSError:
@@ -182,14 +173,34 @@ def fsync_dir(root: str) -> None:
         os.close(fd)
 
 
-def _read_manifest(root: str) -> Optional[Dict]:
-    """The committed manifest, parsed; ``None`` if none exists.
+def write_atomic(path: str, data: bytes, site: str, fsync: bool = True,
+                 staged: Optional[str] = None,
+                 **tags: object) -> Dict[str, int]:
+    """Publish ``path`` atomically: write ``path + ".tmp"`` through
+    :func:`write_file`, rename it over ``path`` and fsync the directory.
+
+    A crash or torn write before the rename leaves ``path`` as it was
+    (the previous bytes, or no file).  ``staged`` names a chaos crash
+    point fired between the temp write and the rename."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    tmp = path + ".tmp"
+    entry = write_file(tmp, data, site, fsync, **tags)
+    if staged is not None:
+        chaos.crash_point(staged)
+    os.replace(tmp, path)
+    if fsync:
+        fsync_dir(directory)
+    return entry
+
+
+def read_manifest(path: str) -> Optional[Dict]:
+    """The JSON manifest at ``path``, parsed; ``None`` if none exists.
 
     A present-but-unparseable manifest raises ManifestCorruptError --
     the caller decides whether that is fatal (load) or not (save over
     a damaged root is refused so the operator must clean up
     explicitly)."""
-    path = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(path):
         return None
     try:
@@ -200,6 +211,38 @@ def _read_manifest(root: str) -> Optional[Dict]:
     if not isinstance(manifest, dict):
         raise ManifestCorruptError(f"{path}: manifest is not an object")
     return manifest
+
+
+def read_checked(path: str, meta: Optional[Dict], error: Type[Exception],
+                 keep: bool = True) -> bytes:
+    """Read ``path`` in :data:`VERIFY_CHUNK_BYTES` chunks, checking its
+    size and CRC against the manifest entry ``meta`` (``None`` checks
+    nothing); a missing or mismatching file raises ``error``.
+
+    Returns the bytes, or ``b""`` with ``keep=False`` -- then memory
+    use is one chunk, however large the file."""
+    if not os.path.exists(path):
+        raise error(f"file missing: {path}")
+    chunks: List[bytes] = []
+    crc = 0
+    total = 0
+    with open(path, "rb") as handle:
+        while True:
+            chunk = handle.read(VERIFY_CHUNK_BYTES)
+            if not chunk:
+                break
+            crc = crc32(chunk, crc)
+            total += len(chunk)
+            if keep:
+                chunks.append(chunk)
+    if meta is not None and (total != meta.get("bytes")
+                             or crc != meta.get("crc32")):
+        raise error(
+            f"file torn or corrupt: {path} ({total} bytes, crc {crc:08x}; "
+            f"manifest says {meta.get('bytes')} bytes, "
+            f"crc {int(meta.get('crc32') or 0):08x})"
+        )
+    return b"".join(chunks)
 
 
 def save_store(store: ZipG, root: str, fsync: bool = True) -> None:
@@ -218,7 +261,8 @@ def save_store(store: ZipG, root: str, fsync: bool = True) -> None:
     unrecoverable by either build).
     """
     os.makedirs(root, exist_ok=True)
-    previous = _read_manifest(root)
+    manifest_path = os.path.join(root, MANIFEST_NAME)
+    previous = read_manifest(manifest_path)
     generation = 1
     if previous is not None:
         found = previous.get("version")
@@ -234,16 +278,15 @@ def save_store(store: ZipG, root: str, fsync: bool = True) -> None:
 
     files: Dict[str, Dict[str, int]] = {}
 
-    def emit(name: str, data: bytes) -> None:
-        files[name] = _write_file(root, name, data, fsync)
+    def emit(name: str, data: Union[bytes, Dict[str, SectionPayload]]) -> None:
+        files[name] = write_file(os.path.join(root, name), data,
+                                 chaos.SITE_SAVE_WRITE, fsync, file=name)
         chaos.crash_point("save.file", file=name)
 
     for shard in store.shards:
         # Shards stream out section-by-section -- the serialized blob
         # (the dominant snapshot cost) is never materialised in memory.
-        name = f"shard-{shard.shard_id}.g{generation}.bin"
-        files[name] = _write_file_sections(root, name, shard.sections(), fsync)
-        chaos.crash_point("save.file", file=name)
+        emit(f"shard-{shard.shard_id}.g{generation}.bin", shard.sections())
     emit(f"logstore.g{generation}.json",
          json.dumps(store.logstore.to_payload()).encode("utf-8"))
     pointer_payload = [table.to_payload() for table in store._pointer_tables]
@@ -265,12 +308,9 @@ def save_store(store: ZipG, root: str, fsync: bool = True) -> None:
         "files": files,
         "wal_last_lsn": wal.last_lsn if isinstance(wal, WriteAheadLog) else 0,
     }
-    tmp_name = MANIFEST_NAME + ".tmp"
-    _write_file(root, tmp_name, json.dumps(manifest).encode("utf-8"), fsync)
-    chaos.crash_point("save.manifest_tmp")
-    os.replace(os.path.join(root, tmp_name), os.path.join(root, MANIFEST_NAME))
-    if fsync:
-        fsync_dir(root)
+    write_atomic(manifest_path, json.dumps(manifest).encode("utf-8"),
+                 chaos.SITE_SAVE_WRITE, fsync, staged="save.manifest_tmp",
+                 file=MANIFEST_NAME + ".tmp")
     chaos.crash_point("save.committed")
 
     # The snapshot now covers every WAL record up to wal_last_lsn; a
@@ -286,13 +326,11 @@ def save_store(store: ZipG, root: str, fsync: bool = True) -> None:
 
 
 def _remove_stale_files(root: str, generation: int) -> None:
-    """Drop data files from superseded generations (and the v2 legacy
-    layout) after a successful commit."""
+    """Drop data files from superseded generations after a successful
+    commit."""
     for name in os.listdir(root):
         match = _GENERATION_FILE_RE.match(name)
-        stale = (match is not None and int(match.group("gen")) != generation)
-        stale = stale or _LEGACY_FILE_RE.match(name) is not None
-        if stale:
+        if match is not None and int(match.group("gen")) != generation:
             try:
                 os.remove(os.path.join(root, name))
             except OSError:
@@ -301,22 +339,7 @@ def _remove_stale_files(root: str, generation: int) -> None:
                 continue  # zipg: ignore[ROBUST001]
 
 
-def _verified_read(root: str, name: str, meta: Dict) -> bytes:
-    path = os.path.join(root, name)
-    if not os.path.exists(path):
-        raise SnapshotCorruptError(f"snapshot file missing: {path}")
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) != meta.get("bytes") or _crc32(data) != meta.get("crc32"):
-        raise SnapshotCorruptError(
-            f"snapshot file torn or corrupt: {path} "
-            f"({len(data)} bytes, crc {_crc32(data):08x}; manifest says "
-            f"{meta.get('bytes')} bytes, crc {int(meta.get('crc32', 0)):08x})"
-        )
-    return data
-
-
-def _mapped_view(root: str, name: str, meta: Dict) -> Tuple[memoryview, mmap.mmap]:
+def _mapped_view(path: str, meta: Dict) -> Tuple[memoryview, mmap.mmap]:
     """Map one snapshot file read-only; O(1) in file size.
 
     Only the recorded size is validated here -- the point of mmap
@@ -327,7 +350,6 @@ def _mapped_view(root: str, name: str, meta: Dict) -> Tuple[memoryview, mmap.mma
     damage inside a page surfaces as a decode error at first access,
     never as silently wrong data being trusted as a manifest match.
     """
-    path = os.path.join(root, name)
     if not os.path.exists(path):
         raise SnapshotCorruptError(f"snapshot file missing: {path}")
     size = os.path.getsize(path)
@@ -343,7 +365,6 @@ def _mapped_view(root: str, name: str, meta: Dict) -> Tuple[memoryview, mmap.mma
 
 def load_store(
     root: str,
-    wal_config: Optional[WalConfig] = None,
     attach_wal: bool = True,
     mode: str = "eager",
 ) -> ZipG:
@@ -351,11 +372,13 @@ def load_store(
 
     Recovery = last committed snapshot (manifest + checksum-verified
     data files) + replay of every WAL record past the manifest's
-    cutoff LSN.  Torn WAL tails are dropped (the in-flight record of a
+    cutoff LSN.  A torn WAL tail is dropped (the in-flight record of a
     crashed append); torn *snapshot* files raise
-    :class:`SnapshotCorruptError` -- they cannot occur from a crash
-    (the manifest only ever points at fully fsync'd files) and so
-    indicate external damage that must not be silently repaired.
+    :class:`SnapshotCorruptError` and a corrupt WAL record before the
+    last one raises :class:`RecoveryError` -- neither can occur from a
+    crash (the manifest only ever points at fully fsync'd files, and
+    every record but the last was fsync'd whole), so both indicate
+    external damage that must not be silently repaired.
 
     ``mode`` selects how shard bytes reach memory:
 
@@ -379,15 +402,14 @@ def load_store(
     if mode not in ("eager", "mmap"):
         raise ValueError(f"unknown load mode {mode!r}; expected eager|mmap")
     manifest_path = os.path.join(root, MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
+    manifest = read_manifest(manifest_path)
+    if manifest is None:
         raise ManifestMissingError(f"no committed manifest under {root}")
-    manifest = _read_manifest(root)
-    assert manifest is not None
     version = manifest.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != MANIFEST_VERSION:
         raise UnsupportedVersionError(
             f"unsupported manifest version {version!r} "
-            f"(this build reads versions {_SUPPORTED_VERSIONS})"
+            f"(this build reads version {MANIFEST_VERSION})"
         )
     generation = manifest.get("generation")
     files = manifest.get("files")
@@ -396,6 +418,11 @@ def load_store(
     encoding = manifest.get("encoding")
     if not isinstance(encoding, str):
         raise ManifestCorruptError(f"{manifest_path}: bad encoding tag")
+
+    def entry(name: str) -> Tuple[str, Dict]:
+        if name not in files:
+            raise ManifestCorruptError(f"manifest lists no entry for {name}")
+        return os.path.join(root, name), files[name]
 
     load_seconds = obs.histogram(
         "zipg_shard_load_seconds",
@@ -406,21 +433,17 @@ def load_store(
     mmaps: List[mmap.mmap] = []
     mapped_bytes = 0
     for shard_id in range(manifest["num_shards"]):
-        name = f"shard-{shard_id}.g{generation}.bin"
-        if name not in files:
-            raise ManifestCorruptError(f"manifest lists no entry for {name}")
+        path, meta = entry(f"shard-{shard_id}.g{generation}.bin")
         started = time.perf_counter()
         if mode == "mmap":
-            view, mapped = _mapped_view(root, name, files[name])
+            view, mapped = _mapped_view(path, meta)
             mmaps.append(mapped)
             mapped_bytes += len(mapped)
             shards.append(CompressedShard.from_bytes(view, delimiters))
         else:
-            shards.append(
-                CompressedShard.from_bytes(
-                    _verified_read(root, name, files[name]), delimiters
-                )
-            )
+            shards.append(CompressedShard.from_bytes(
+                read_checked(path, meta, SnapshotCorruptError), delimiters
+            ))
         load_seconds.observe(time.perf_counter() - started)
 
     initial = shards[: manifest["num_initial_shards"]]
@@ -441,16 +464,11 @@ def load_store(
         store._shards.append(shard)
     store.freeze_count = manifest["freeze_count"]
 
-    log_name = f"logstore.g{generation}.json"
-    if log_name not in files:
-        raise ManifestCorruptError(f"manifest lists no entry for {log_name}")
-    log_payload = json.loads(_verified_read(root, log_name, files[log_name]))
+    log_payload = json.loads(read_checked(
+        *entry(f"logstore.g{generation}.json"), SnapshotCorruptError))
     store._logstore = LogStore.from_payload(log_payload)
-
-    ptr_name = f"pointers.g{generation}.json"
-    if ptr_name not in files:
-        raise ManifestCorruptError(f"manifest lists no entry for {ptr_name}")
-    pointer_payload = json.loads(_verified_read(root, ptr_name, files[ptr_name]))
+    pointer_payload = json.loads(read_checked(
+        *entry(f"pointers.g{generation}.json"), SnapshotCorruptError))
     store._pointer_tables = [
         UpdatePointerTable.from_payload(entry) for entry in pointer_payload
     ]
@@ -479,7 +497,7 @@ def load_store(
         repair_torn_tail(wal_path)  # new appends need a clean boundary
         last = records[-1].lsn if records else cutoff
         store.attach_wal(
-            WriteAheadLog(wal_path, wal_config, next_lsn=max(last, cutoff) + 1)
+            WriteAheadLog(wal_path, next_lsn=max(last, cutoff) + 1)
         )
     return store
 
@@ -490,12 +508,9 @@ class IntegrityIssue:
 
     kind: str      # "manifest-missing" | "manifest-corrupt" |
                    # "unsupported-version" | "file-corrupt" |
-                   # "wal-torn-tail" | "ec-manifest-corrupt" |
-                   # "fragment-corrupt"
+                   # "wal-torn-tail" | "wal-corrupt" |
+                   # "ec-manifest-corrupt" | "fragment-corrupt"
     detail: str
-
-    def to_payload(self) -> Dict[str, str]:
-        return {"kind": self.kind, "detail": self.detail}
 
 
 @dataclass
@@ -517,62 +532,25 @@ class IntegrityReport:
         self.issues.append(IntegrityIssue(kind, detail))
 
     def to_payload(self) -> Dict[str, object]:
-        return {
-            "root": self.root,
-            "ok": self.ok,
-            "generation": self.generation,
-            "files_checked": self.files_checked,
-            "wal_records": self.wal_records,
-            "fragments_checked": self.fragments_checked,
-            "issues": [issue.to_payload() for issue in self.issues],
-        }
+        return {"ok": self.ok, **asdict(self)}
 
 
-def _verified_crc_stream(root: str, name: str, meta: Dict,
-                         chunk_bytes: int = DEFAULT_VERIFY_CHUNK_BYTES) -> None:
-    """CRC/size-check one snapshot file in fixed-size chunks.
-
-    Same acceptance criteria as :func:`_verified_read`, but constant
-    memory -- ``repro verify-store`` can audit stores larger than RAM
-    without ever holding a whole file."""
-    path = os.path.join(root, name)
-    if not os.path.exists(path):
-        raise SnapshotCorruptError(f"snapshot file missing: {path}")
-    if chunk_bytes <= 0:
-        raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
-    crc = 0
-    total = 0
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(chunk_bytes)
-            if not chunk:
-                break
-            crc = zlib.crc32(chunk, crc) & 0xFFFFFFFF
-            total += len(chunk)
-    if total != meta.get("bytes") or crc != meta.get("crc32"):
-        raise SnapshotCorruptError(
-            f"snapshot file torn or corrupt: {path} "
-            f"({total} bytes, crc {crc:08x}; manifest says "
-            f"{meta.get('bytes')} bytes, crc {int(meta.get('crc32', 0)):08x})"
-        )
-
-
-def verify_store(root: str, ec_root: Optional[str] = None,
-                 chunk_bytes: int = DEFAULT_VERIFY_CHUNK_BYTES) -> IntegrityReport:
+def verify_store(root: str, ec_root: Optional[str] = None) -> IntegrityReport:
     """Audit a store root **offline** -- no store is built, nothing is
     repaired, nothing is mutated.
 
     Checks: committed manifest present and parseable at a supported
     version, every referenced data file matches its recorded CRC/size
-    (streamed ``chunk_bytes`` at a time, so memory use is constant no
-    matter how large the shards are), and the WAL tail is not torn.
+    (streamed :data:`VERIFY_CHUNK_BYTES` at a time, so memory use is
+    constant no matter how large the shards are), and the WAL is
+    neither torn at its tail nor corrupt before it.
     With ``ec_root``, also verifies the erasure-coding manifest and
     every fragment it places against the fragment CRCs.  Each failure
     becomes one typed :class:`IntegrityIssue`; operators gate on
     :attr:`IntegrityReport.ok`."""
     report = IntegrityReport(root=root)
     try:
-        manifest = _read_manifest(root)
+        manifest = read_manifest(os.path.join(root, MANIFEST_NAME))
     except ManifestCorruptError as exc:
         report.add("manifest-corrupt", str(exc))
         manifest = None
@@ -582,11 +560,11 @@ def verify_store(root: str, ec_root: Optional[str] = None,
                        f"no committed manifest under {root}")
     else:
         version = manifest.get("version")
-        if version not in _SUPPORTED_VERSIONS:
+        if version != MANIFEST_VERSION:
             report.add(
                 "unsupported-version",
                 f"manifest version {version!r}; this build reads "
-                f"{_SUPPORTED_VERSIONS}",
+                f"version {MANIFEST_VERSION}",
             )
         generation = manifest.get("generation")
         files = manifest.get("files")
@@ -598,18 +576,24 @@ def verify_store(root: str, ec_root: Optional[str] = None,
             files = {}
         for name in sorted(files):
             try:
-                _verified_crc_stream(root, name, files[name], chunk_bytes)
+                read_checked(os.path.join(root, name), files[name],
+                             SnapshotCorruptError, keep=False)
             except SnapshotCorruptError as exc:
                 report.add("file-corrupt", str(exc))
             report.files_checked += 1
-    records, torn = read_records(os.path.join(root, WAL_FILENAME))
-    report.wal_records = len(records)
-    if torn:
-        report.add(
-            "wal-torn-tail",
-            f"{os.path.join(root, WAL_FILENAME)}: trailing partial record "
-            f"(in-flight append at crash; load_store would drop it)",
-        )
+    wal_path = os.path.join(root, WAL_FILENAME)
+    try:
+        records, torn = read_records(wal_path)
+    except RecoveryError as exc:
+        report.add("wal-corrupt", str(exc))
+    else:
+        report.wal_records = len(records)
+        if torn:
+            report.add(
+                "wal-torn-tail",
+                f"{wal_path}: trailing partial record (in-flight append "
+                f"at crash; load_store would drop it)",
+            )
     if ec_root is not None:
         _verify_ec_root(ec_root, report)
     return report
@@ -619,7 +603,6 @@ def _verify_ec_root(ec_root: str, report: IntegrityReport) -> None:
     """Fragment-layer half of :func:`verify_store`."""
     # Local import: persistence must stay importable below the ec
     # package (which reads snapshots through this module's helpers).
-    from repro.core.errors import FragmentCorruptError, RecoveryError
     from repro.ec.striping import (
         EC_MANIFEST_NAME,
         ECManifest,
@@ -643,21 +626,21 @@ def _verify_ec_root(ec_root: str, report: IntegrityReport) -> None:
             report.fragments_checked += 1
 
 
-def attach_wal(store: ZipG, root: str,
-               config: Optional[WalConfig] = None) -> WriteAheadLog:
+def attach_wal(store: ZipG, root: str) -> WriteAheadLog:
     """Arm ``store`` with a write-ahead log under ``root``.
 
     Continues LSNs from any existing ``wal.log`` so a later
-    :func:`load_store` replays exactly the un-snapshotted suffix."""
+    :func:`load_store` replays exactly the un-snapshotted suffix.  A
+    torn tail is truncated first; a log corrupt before its last record
+    raises :class:`RecoveryError` and is left as it is."""
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, WAL_FILENAME)
     repair_torn_tail(path)
     records, _torn = read_records(path)
-    manifest = _read_manifest(root)
-    cutoff = 0
-    if manifest is not None and isinstance(manifest.get("wal_last_lsn"), int):
-        cutoff = manifest["wal_last_lsn"]
+    manifest = read_manifest(os.path.join(root, MANIFEST_NAME)) or {}
+    cutoff = manifest.get("wal_last_lsn")
+    cutoff = cutoff if isinstance(cutoff, int) else 0
     last = records[-1].lsn if records else 0
-    wal = WriteAheadLog(path, config, next_lsn=max(last, cutoff) + 1)
+    wal = WriteAheadLog(path, next_lsn=max(last, cutoff) + 1)
     store.attach_wal(wal)
     return wal

@@ -12,21 +12,15 @@ On-disk format -- one text line per record::
     <crc32:08x> <json [lsn, op, args]>\\n
 
 The CRC covers the JSON payload, so a torn tail (crash mid-write) is
-detected and dropped at replay instead of corrupting the store: replay
-applies the longest valid record prefix and ignores the rest.  Record
-ops mirror the ZipG mutation surface: ``node``, ``edge``, ``del_node``,
-``del_edge``, plus ``freeze`` and ``compact`` so structural events
-replay at the exact point they originally happened (replay never
-re-triggers threshold freezes on its own).
-
-Durability policy (:class:`WalConfig.fsync_policy`):
-
-* ``"always"`` -- flush + fsync every record (lose at most the record
-  being written when the process dies);
-* ``"batch"``  -- fsync every ``batch_size`` records (bounded loss,
-  amortized fsync cost);
-* ``"never"``  -- leave flushing to the OS (fastest; loss window is
-  the OS page cache).
+detected and dropped at replay instead of corrupting the store.  Every
+record is flushed and fsync'd before the mutation is applied, so a
+crash can tear only the *last* line: a bad line with another line
+after it is damage to acknowledged writes, and reading the log raises
+:class:`~repro.core.errors.RecoveryError` rather than dropping them.
+Record ops mirror the ZipG mutation surface: ``node``, ``edge``,
+``del_node``, ``del_edge``, plus ``freeze`` and ``compact`` so
+structural events replay at the exact point they originally happened
+(replay never re-triggers threshold freezes on its own).
 """
 
 from __future__ import annotations
@@ -38,15 +32,13 @@ from dataclasses import dataclass
 from typing import IO, List, Optional, Tuple
 
 from repro import chaos, obs
-
-FSYNC_POLICIES = ("always", "batch", "never")
+from repro.core.errors import RecoveryError
 
 #: Crash points exercised by the chaos suite: between a record landing
 #: in the file and it being fsync'd, and right after the fsync.
 CRASH_POINT_PRE_FSYNC = "wal.pre_fsync"
 CRASH_POINT_POST_FSYNC = "wal.post_fsync"
 CRASH_POINT_REPAIR = "wal.repair"
-SITE_WAL_SYNC = "wal.sync"
 
 WAL_FILENAME = "wal.log"
 
@@ -58,23 +50,6 @@ class WalRecord:
     lsn: int
     op: str
     args: List[object]
-
-
-@dataclass(frozen=True)
-class WalConfig:
-    """Durability knobs for a :class:`WriteAheadLog`."""
-
-    fsync_policy: str = "always"
-    batch_size: int = 32
-
-    def __post_init__(self) -> None:
-        if self.fsync_policy not in FSYNC_POLICIES:
-            raise ValueError(
-                f"fsync_policy must be one of {FSYNC_POLICIES}, "
-                f"got {self.fsync_policy!r}"
-            )
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 def _encode(record: WalRecord) -> bytes:
@@ -109,23 +84,41 @@ def _decode_line(line: bytes) -> Optional[WalRecord]:
     return WalRecord(decoded[0], decoded[1], decoded[2])
 
 
-def read_records(path: str) -> Tuple[List[WalRecord], bool]:
-    """The longest valid record prefix of the WAL at ``path``.
-
-    Returns ``(records, torn_tail)`` where ``torn_tail`` reports that
-    trailing bytes were dropped (a crash tore the last write).  A
-    missing file is an empty, un-torn log."""
-    if not os.path.exists(path):
-        return [], False
+def _scan(path: str) -> Tuple[List[WalRecord], int, bool]:
+    """``(records, valid_bytes, torn)`` for the WAL at ``path``: every
+    record before a bad *final* line, the bytes they span, and whether
+    that torn line exists.  A bad line followed by another line raises
+    :class:`RecoveryError`.  A missing file is an empty, un-torn log."""
     records: List[WalRecord] = []
-    torn = False
+    valid = 0
+    bad_line = 0
+    if not os.path.exists(path):
+        return records, valid, False
     with open(path, "rb") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
+            if bad_line:
+                raise RecoveryError(
+                    f"{path}: record on line {bad_line} is corrupt and is "
+                    f"not the last one; a crash tears only the tail, so "
+                    f"the log is damaged (refusing to drop the "
+                    f"acknowledged records after it)"
+                )
             record = _decode_line(line)
             if record is None:
-                torn = True
-                break
+                bad_line = number
+                continue
             records.append(record)
+            valid += len(line)
+    return records, valid, bool(bad_line)
+
+
+def read_records(path: str) -> Tuple[List[WalRecord], bool]:
+    """Every intact record of the WAL at ``path``.
+
+    Returns ``(records, torn_tail)`` where ``torn_tail`` reports that a
+    bad final line was dropped (a crash tore the last write).  Raises
+    :class:`RecoveryError` when a bad line is not the last."""
+    records, _valid, torn = _scan(path)
     if torn:
         obs.counter(
             "zipg_wal_torn_tail_total",
@@ -135,22 +128,17 @@ def read_records(path: str) -> Tuple[List[WalRecord], bool]:
 
 
 def repair_torn_tail(path: str) -> bool:
-    """Truncate torn trailing bytes so future appends start on a clean
+    """Truncate a torn final record so future appends start on a clean
     record boundary (otherwise the next record would be glued onto the
     torn prefix and both would be lost).  Returns whether bytes were
     dropped.  Must be called before re-arming a recovered WAL for
-    appends; pure readers replay the valid prefix either way."""
-    if not os.path.exists(path):
+    appends; pure readers skip the torn tail either way.  A log
+    corrupt before its last record raises :class:`RecoveryError` and
+    is never truncated."""
+    _records, valid, torn = _scan(path)
+    if not torn:
         return False
     size = os.path.getsize(path)
-    valid = 0
-    with open(path, "rb") as handle:
-        for line in handle:
-            if _decode_line(line) is None:
-                break
-            valid += len(line)
-    if valid == size:
-        return False
     chaos.crash_point(CRASH_POINT_REPAIR, valid_bytes=valid, torn_bytes=size - valid)
     with open(path, "r+b") as handle:
         handle.truncate(valid)
@@ -171,12 +159,9 @@ class WriteAheadLog:
     commit and WAL rotation skips already-snapshotted records instead
     of double-applying them."""
 
-    def __init__(self, path: str, config: Optional[WalConfig] = None,
-                 next_lsn: int = 1) -> None:
+    def __init__(self, path: str, next_lsn: int = 1) -> None:
         self.path = path
-        self.config = config or WalConfig()
         self._next_lsn = next_lsn
-        self._unsynced = 0
         self._handle: Optional[IO[bytes]] = None
 
     @property
@@ -192,8 +177,8 @@ class WriteAheadLog:
     def append_record(self, op: str, args: List[object]) -> int:
         """Durably append one record; returns its LSN.
 
-        The record is written (torn-write injectable), then fsync'd per
-        policy, with chaos crash points on both sides of the fsync so
+        The record is written (torn-write injectable), then flushed and
+        fsync'd, with chaos crash points on both sides of the fsync so
         tests can kill the process model at either instant."""
         lsn = self._next_lsn
         record = WalRecord(lsn, op, list(args))
@@ -204,30 +189,11 @@ class WriteAheadLog:
         obs.counter("zipg_wal_appends_total",
                     help="records appended to the write-ahead log").inc()
         chaos.crash_point(CRASH_POINT_PRE_FSYNC, lsn=lsn)
-        self._unsynced += 1
-        if self.config.fsync_policy == "always":
-            self._fsync()
-        elif (self.config.fsync_policy == "batch"
-              and self._unsynced >= self.config.batch_size):
-            self._fsync()
-        chaos.crash_point(CRASH_POINT_POST_FSYNC, lsn=lsn)
-        return lsn
-
-    def _fsync(self) -> None:
-        if self._handle is not None:
-            os.fsync(self._handle.fileno())
-        self._unsynced = 0
+        os.fsync(handle.fileno())
         obs.counter("zipg_wal_fsyncs_total",
                     help="fsync calls issued by the write-ahead log").inc()
-
-    def sync(self) -> None:
-        """Force outstanding records to disk regardless of policy
-        (chaos site ``wal.sync``)."""
-        chaos.kick(SITE_WAL_SYNC, unsynced=self._unsynced)
-        if self._handle is not None:
-            self._handle.flush()
-        if self._unsynced:
-            self._fsync()
+        chaos.crash_point(CRASH_POINT_POST_FSYNC, lsn=lsn)
+        return lsn
 
     def rotate(self) -> None:
         """Truncate the log after a committed snapshot superseded it.

@@ -9,8 +9,10 @@ each of those files into ``k`` data + ``m`` parity fragments
 round-robin across servers, and commits the layout in an
 ``ec-manifest.json`` that extends the :mod:`~repro.core.persistence`
 manifest idiom: per-fragment CRC32/size/placement, whole-file CRC
-carried over from the snapshot manifest, write-to-temp + atomic-rename
-commit.
+carried over from the snapshot manifest, and the same
+:func:`~repro.core.persistence.write_atomic` commit (temp file, fsync,
+rename, directory fsync) for the manifest, every fragment and every
+materialized file.
 
 Placement and the failure model: fragment ``i`` of the ``f``-th file
 lands on server ``(f + i) % num_servers``, so one file's fragments
@@ -34,7 +36,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -44,9 +45,16 @@ from repro.core.errors import (
     ManifestCorruptError,
     ManifestMissingError,
     ReconstructionFailed,
+    SnapshotCorruptError,
     UnsupportedVersionError,
 )
-from repro.core.persistence import fsync_dir
+from repro.core.persistence import (
+    MANIFEST_NAME,
+    crc32,
+    read_checked,
+    read_manifest,
+    write_atomic,
+)
 from repro.ec.rs import RSCodec
 
 EC_MANIFEST_VERSION = 1
@@ -56,10 +64,6 @@ EC_MANIFEST_NAME = "ec-manifest.json"
 #: index)`` returns the fragment payload or raises (dead server,
 #: corrupt fragment) -- reconstruction skips and moves on.
 FragmentFetch = Callable[[int, str, int], bytes]
-
-
-def _crc32(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
 
 
 def fragment_server(file_index: int, fragment_index: int,
@@ -161,30 +165,15 @@ class ECManifest:
 
     @classmethod
     def load(cls, path: str) -> "ECManifest":
-        if not os.path.exists(path):
+        payload = read_manifest(path)
+        if payload is None:
             raise ManifestMissingError(f"no ec manifest at {path}")
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (ValueError, OSError) as exc:
-            raise ManifestCorruptError(f"cannot parse {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ManifestCorruptError(f"{path}: ec manifest is not an object")
         return cls.from_payload(payload)
 
     def save(self, path: str, fsync: bool = True) -> None:
-        """Commit via the persistence idiom: temp + atomic rename."""
-        data = json.dumps(self.to_payload()).encode("utf-8")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            chaos.write_bytes(chaos.SITE_EC_ENCODE, handle, data,
-                              file=EC_MANIFEST_NAME)
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        if fsync:
-            fsync_dir(os.path.dirname(os.path.abspath(path)))
+        """Commit atomically through the ``ec.encode`` chaos site."""
+        write_atomic(path, json.dumps(self.to_payload()).encode("utf-8"),
+                     chaos.SITE_EC_ENCODE, fsync, file=EC_MANIFEST_NAME)
 
     def server_fragments(self, server: int) -> Iterator[Tuple[str, int]]:
         """Every ``(file name, fragment index)`` placed on ``server``."""
@@ -222,21 +211,12 @@ class FragmentStore:
 
     def write(self, name: str, index: int, data: bytes,
               site: str = chaos.SITE_EC_ENCODE, fsync: bool = True) -> None:
-        """Persist one fragment (temp + rename so a torn write never
-        shadows a good fragment); ``site`` is the chaos site the write
+        """Persist one fragment atomically, so a torn write never
+        shadows a good fragment; ``site`` is the chaos site the write
         routes through (``ec.encode`` on first placement, ``ec.rebuild``
         when re-created onto a recovered server)."""
-        os.makedirs(self.root, exist_ok=True)
-        final = self.path(name, index)
-        tmp = final + ".tmp"
-        with open(tmp, "wb") as handle:
-            chaos.write_bytes(site, handle, data, file=name, fragment=index)
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, final)
-        if fsync:
-            fsync_dir(self.root)
+        write_atomic(self.path(name, index), data, site, fsync,
+                     file=name, fragment=index)
 
     def read(self, name: str, index: int, expected_crc: Optional[int] = None,
              expected_bytes: Optional[int] = None) -> bytes:
@@ -244,22 +224,10 @@ class FragmentStore:
         and size when given; missing or mismatching fragments raise
         :class:`FragmentCorruptError` (reconstruction treats both as
         an erasure)."""
-        path = self.path(name, index)
-        if not os.path.exists(path):
-            raise FragmentCorruptError(f"fragment missing: {path}")
-        with open(path, "rb") as handle:
-            data = handle.read()
-        if expected_bytes is not None and len(data) != expected_bytes:
-            raise FragmentCorruptError(
-                f"fragment torn: {path} has {len(data)} bytes, "
-                f"manifest says {expected_bytes}"
-            )
-        if expected_crc is not None and _crc32(data) != expected_crc:
-            raise FragmentCorruptError(
-                f"fragment corrupt: {path} crc {_crc32(data):08x}, "
-                f"manifest says {expected_crc:08x}"
-            )
-        return data
+        meta = None
+        if expected_crc is not None or expected_bytes is not None:
+            meta = {"crc32": expected_crc, "bytes": expected_bytes}
+        return read_checked(self.path(name, index), meta, FragmentCorruptError)
 
     def has(self, name: str, index: int, expected_crc: int,
             expected_bytes: int) -> bool:
@@ -293,18 +261,14 @@ def encode_store(root: str, ec_root: str, num_servers: int,
     """Erasure-code the committed snapshot under ``root`` into
     per-server fragment directories under ``ec_root``.
 
-    Reads the snapshot through the persistence layer's verified-read
-    path (a torn input must fail loudly, not encode garbage), writes
-    every fragment through the ``ec.encode`` chaos site, and commits
-    the EC manifest last -- a crash mid-encode leaves no committed
-    layout, mirroring ``save_store``'s manifest-rename commit point.
+    Reads every snapshot file CRC-checked against the snapshot
+    manifest (a torn input must fail loudly, not encode garbage),
+    writes every fragment through the ``ec.encode`` chaos site, and
+    commits the EC manifest last -- a crash mid-encode leaves no
+    committed layout, mirroring ``save_store``'s manifest-rename commit
+    point.
     """
-    # Imported here, not at module top: persistence is higher-level
-    # (it imports the store types); the ec package stays importable
-    # from the core layer.
-    from repro.core.persistence import _read_manifest, _verified_read
-
-    manifest = _read_manifest(root)
+    manifest = read_manifest(os.path.join(root, MANIFEST_NAME))
     if manifest is None:
         raise ManifestMissingError(f"no committed snapshot under {root}")
     files = manifest.get("files")
@@ -322,21 +286,21 @@ def encode_store(root: str, ec_root: str, num_servers: int,
     encoded_bytes = 0
     with obs.span("ec.encode", layer="ec"):
         for file_index, name in enumerate(sorted(files)):
-            data = _verified_read(root, name, files[name])
+            data = read_checked(os.path.join(root, name), files[name],
+                                SnapshotCorruptError)
             chaos.kick(chaos.SITE_EC_ENCODE, file=name)
             fragments = codec.encode(data)
-            stripe = FileStripe(bytes=len(data), crc32=_crc32(data))
+            stripe = FileStripe(bytes=len(data), crc32=files[name]["crc32"])
             for index, fragment in enumerate(fragments):
                 server = fragment_server(file_index, index, num_servers)
                 stores[server].write(name, index, fragment,
                                      site=chaos.SITE_EC_ENCODE, fsync=fsync)
                 stripe.fragments.append(
-                    FragmentInfo(server=server, crc32=_crc32(fragment),
+                    FragmentInfo(server=server, crc32=crc32(fragment),
                                  bytes=len(fragment))
                 )
                 encoded_bytes += len(fragment)
             ec_manifest.files[name] = stripe
-    os.makedirs(ec_root, exist_ok=True)
     ec_manifest.save(os.path.join(ec_root, EC_MANIFEST_NAME), fsync=fsync)
     obs.counter(
         "zipg_ec_encoded_fragment_bytes_total",
@@ -429,7 +393,7 @@ class ErasureCodedSnapshots:
                     failures.append(
                         f"f{index}@s{info.server}: {type(exc).__name__}")
                     continue
-                if len(data) != info.bytes or _crc32(data) != info.crc32:
+                if len(data) != info.bytes or crc32(data) != info.crc32:
                     failures.append(f"f{index}@s{info.server}: corrupt")
                     continue
                 gathered[index] = data
@@ -440,10 +404,11 @@ class ErasureCodedSnapshots:
                     f"({'; '.join(failures)})"
                 )
             data = self.codec.decode(gathered, stripe.bytes)
-            if _crc32(data) != stripe.crc32:
+            crc = crc32(data)
+            if crc != stripe.crc32:
                 raise ReconstructionFailed(
                     f"reconstructed {name!r} fails the whole-file CRC "
-                    f"(crc {_crc32(data):08x}, manifest {stripe.crc32:08x})"
+                    f"(crc {crc:08x}, manifest {stripe.crc32:08x})"
                 )
         obs.counter(
             "zipg_ec_reconstructions_total",
@@ -465,23 +430,13 @@ class ErasureCodedSnapshots:
         needs, since a memory map requires an on-disk byte range, not
         an in-memory blob.
 
-        The write is atomic (temp file in the destination directory,
-        fsync, rename, directory fsync), so a crash mid-materialize
-        leaves either no file or the complete verified file -- never a
-        torn one that a later mmap would trust by size alone.  Returns
-        the number of bytes written."""
+        The write is atomic (:func:`write_atomic`), so a crash
+        mid-materialize leaves either no file or the complete verified
+        file -- never a torn one that a later mmap would trust by size
+        alone.  Returns the number of bytes written."""
         data = self.reconstruct_file(name, fetch, skip_servers=skip_servers)
-        out_dir = os.path.dirname(os.path.abspath(out_path))
-        os.makedirs(out_dir, exist_ok=True)
-        tmp_path = out_path + ".tmp"
-        with open(tmp_path, "wb") as handle:
-            chaos.write_bytes(chaos.SITE_EC_REBUILD, handle, data,
-                              file=name, materialize=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, out_path)
-        fsync_dir(out_dir)
-        return len(data)
+        return write_atomic(out_path, data, chaos.SITE_EC_REBUILD,
+                            file=name, materialize=True)["bytes"]
 
     def rebuild_fragment(self, name: str, index: int,
                          fetch: FragmentFetch,

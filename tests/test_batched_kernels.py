@@ -368,7 +368,7 @@ class TestLogStoreSizeAccounting:
         # Append/delete churn whose *live* payload stays tiny: with dead
         # payload wrongly counted, the threshold fires spuriously.
         for round_index in range(20):
-            store.append_node(1000 + round_index, {"blob": "x" * 40})
+            store.append_node(1000 + round_index, {"name": "x" * 40})
             store.delete_node(1000 + round_index)
         assert store.freeze_count == 0
         assert store.logstore.size_bytes() == 0

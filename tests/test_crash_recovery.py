@@ -12,8 +12,10 @@ from repro import chaos
 from repro.chaos import ChaosInjector, FaultRule, SimulatedCrash
 from repro.core import GraphData, ZipG
 from repro.core.errors import (
+    GraphFormatError,
     ManifestCorruptError,
     ManifestMissingError,
+    RecoveryError,
     SnapshotCorruptError,
     StoreVersionConflictError,
 )
@@ -22,13 +24,14 @@ from repro.core.persistence import (
     attach_wal,
     load_store,
     save_store,
+    verify_store,
 )
 from repro.core.wal import (
     CRASH_POINT_POST_FSYNC,
     CRASH_POINT_PRE_FSYNC,
-    WalConfig,
     WriteAheadLog,
     read_records,
+    repair_torn_tail,
 )
 
 
@@ -105,6 +108,10 @@ class TestWal:
         assert [r.lsn for r in records] == [1, 2]
 
     def test_corrupt_middle_record_stops_replay_prefix(self, tmp_path):
+        """A bad record with another after it is not a torn tail (a
+        crash tears only the last write): reading stops with a typed
+        error instead of returning the prefix before it, and repair
+        refuses to truncate the acknowledged records."""
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(path)
         for lsn in range(1, 4):
@@ -114,8 +121,12 @@ class TestWal:
         lines[1] = b"00000000 [corrupt]\n"
         with open(path, "wb") as handle:
             handle.writelines(lines)
-        records, torn = read_records(path)
-        assert torn and [r.lsn for r in records] == [1]
+        size = os.path.getsize(path)
+        with pytest.raises(RecoveryError, match="line 2"):
+            read_records(path)
+        with pytest.raises(RecoveryError):
+            repair_torn_tail(path)
+        assert os.path.getsize(path) == size
 
     def test_rotate_truncates_but_lsns_continue(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -125,31 +136,15 @@ class TestWal:
         assert os.path.getsize(path) == 0
         assert wal.append_record("node", [2, {}]) == 2
 
-    def test_fsync_policy_validation(self):
-        with pytest.raises(ValueError):
-            WalConfig(fsync_policy="sometimes")
-        with pytest.raises(ValueError):
-            WalConfig(batch_size=0)
-
-    @pytest.mark.parametrize("policy,appends,expected", [
-        ("always", 3, 3),
-        ("batch", 5, 2),   # batch_size=2 -> fsync at records 2 and 4
-        ("never", 4, 0),
-    ])
-    def test_fsync_policies(self, tmp_path, monkeypatch, policy, appends,
-                            expected):
+    def test_every_append_fsyncs(self, tmp_path, monkeypatch):
         calls = []
         real_fsync = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or
                             real_fsync(fd))
-        wal = WriteAheadLog(str(tmp_path / "wal.log"),
-                            WalConfig(fsync_policy=policy, batch_size=2))
-        for lsn in range(appends):
+        wal = WriteAheadLog(str(tmp_path / "wal.log"))
+        for lsn in range(3):
             wal.append_record("node", [lsn, {}])
-        assert len(calls) == expected
-        wal.sync()
-        if policy != "always" and appends % 2:
-            assert len(calls) == expected + 1  # sync() flushes the rest
+            assert len(calls) == lsn + 1
         wal.close()
 
 
@@ -167,6 +162,32 @@ class TestWalRecovery:
         mutate(store)
         loaded = load_store(root)
         assert_matches(loaded, store)
+
+    def test_corrupt_middle_record_refuses_recovery(self, tmp_path):
+        """One flipped byte in record 2 of 3: load_store and attach_wal
+        raise instead of replaying LSN 1 alone, the log keeps every
+        byte, and verify_store names the damage."""
+        root = str(tmp_path / "db")
+        store = build_store()
+        save_store(store, root)
+        attach_wal(store, root)
+        store.append_node(9, {"name": "Ida"})
+        store.append_edge(1, 0, 9, timestamp=300)
+        store.delete_edge(1, 0, 3)
+        store.wal.close()
+        path = os.path.join(root, "wal.log")
+        data = bytearray(open(path, "rb").read())
+        second = data.index(b"\n") + 1
+        data[second + 12] ^= 0x01
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+        with pytest.raises(RecoveryError, match="line 2"):
+            load_store(root)
+        with pytest.raises(RecoveryError):
+            attach_wal(build_store(), root)
+        assert open(path, "rb").read() == bytes(data)
+        kinds = [issue.kind for issue in verify_store(root).issues]
+        assert kinds == ["wal-corrupt"]
 
     def test_freeze_replayed_at_original_point(self, tmp_path):
         root = str(tmp_path / "db")
@@ -212,6 +233,44 @@ class TestWalRecovery:
         record = loaded.get_edge_record(1, 0)
         assert record.destinations() == store.get_edge_record(1, 0).destinations()
         assert record.edge_count == 3  # not 4: LSN cutoff prevented re-apply
+
+
+#: PropertyLists the freeze serializers cannot write.
+BAD_PROPERTIES = {
+    "unknown-pid": {"bogus": "x"},
+    "non-str": {"name": 5},
+    "control-byte": {"name": "bad\x01value"},
+    "lone-surrogate": {"name": "\ud800"},
+}
+
+
+class TestRejectedAppends:
+    """A bad append is rejected before it is logged or applied, so it
+    can neither wedge later freezes nor make the root unrecoverable."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_PROPERTIES))
+    @pytest.mark.parametrize("kind", ["node", "edge"])
+    def test_rejected_append_leaves_store_and_wal(self, tmp_path, kind, bad):
+        root = str(tmp_path / "db")
+        store = build_store()
+        save_store(store, root)
+        wal = attach_wal(store, root)
+        store.append_node(9, {"name": "Ida"})
+        logged = open(wal.path, "rb").read()
+        edges = store.get_edge_record(1, 0).edge_count
+        with pytest.raises(GraphFormatError):
+            if kind == "node":
+                store.append_node(10, BAD_PROPERTIES[bad])
+            else:
+                store.append_edge(1, 0, 10, timestamp=7,
+                                  properties=BAD_PROPERTIES[bad])
+        assert open(wal.path, "rb").read() == logged
+        assert wal.last_lsn == 1
+        assert not store.has_node(10)
+        assert store.get_edge_record(1, 0).edge_count == edges
+        store.freeze_logstore()
+        store.append_edge(1, 0, 10, timestamp=8, properties={"w": "1"})
+        assert_matches(load_store(root), store)
 
 
 # ----------------------------------------------------------------------

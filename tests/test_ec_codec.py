@@ -14,6 +14,8 @@ import os
 import numpy as np
 import pytest
 
+from repro import chaos
+from repro.chaos import ChaosInjector, FaultRule, SimulatedCrash
 from repro.cli import main
 from repro.core import GraphData, ZipG
 from repro.core.errors import (
@@ -299,16 +301,15 @@ class TestDurableCommits:
 
     @pytest.fixture
     def synced(self, monkeypatch):
-        import repro.ec.striping as striping
+        import repro.core.persistence as persistence
 
         calls = []
-        monkeypatch.setattr(striping, "fsync_dir", calls.append,
-                            raising=False)
+        monkeypatch.setattr(persistence, "fsync_dir", calls.append)
         return calls
 
     def test_manifest_save_fsyncs_directory(self, tmp_path, synced):
         root = str(tmp_path / "snap")
-        save_store(build_store(), root)
+        save_store(build_store(), root, fsync=False)
         manifest = encode_store(root, str(tmp_path / "ec"), num_servers=3,
                                 fsync=False)
         assert synced == []
@@ -326,7 +327,7 @@ class TestDurableCommits:
 
     def test_materialize_fsyncs_directory(self, tmp_path, synced):
         root = str(tmp_path / "snap")
-        save_store(build_store(), root)
+        save_store(build_store(), root, fsync=False)
         snaps = ErasureCodedSnapshots.encode_snapshot(
             root, str(tmp_path / "ec"), num_servers=3, fsync=False
         )
@@ -334,6 +335,61 @@ class TestDurableCommits:
         out_path = str(tmp_path / "rebuilt" / name)
         snaps.materialize_file(name, snaps.local_fetch, out_path)
         assert synced == [str(tmp_path / "rebuilt")]
+
+
+class TestAtomicWriters:
+    """A torn write through any EC writer leaves the final path as it
+    was -- the previous bytes, or no file -- and a retry lands."""
+
+    @pytest.mark.parametrize("writer", ["ec_manifest", "fragment",
+                                        "materialize"])
+    def test_torn_write_leaves_final_path(self, tmp_path, writer):
+        root = str(tmp_path / "snap")
+        save_store(build_store(), root, fsync=False)
+        snaps = ErasureCodedSnapshots.encode_snapshot(
+            root, str(tmp_path / "ec"), num_servers=3, fsync=False
+        )
+        if writer == "ec_manifest":
+            site = chaos.SITE_EC_ENCODE
+            path = str(tmp_path / "out" / EC_MANIFEST_NAME)
+            expected = json.dumps(snaps.manifest.to_payload()).encode()
+
+            def write():
+                snaps.manifest.save(path)
+        elif writer == "fragment":
+            site = chaos.SITE_EC_ENCODE
+            store = FragmentStore(str(tmp_path / "s9"))
+            path = store.path("file.bin", 0)
+            expected = payload(64)
+
+            def write():
+                store.write("file.bin", 0, expected)
+        else:
+            site = chaos.SITE_EC_REBUILD
+            name = next(iter(snaps.manifest.files))
+            path = str(tmp_path / "rebuilt" / name)
+            expected = snaps.reconstruct_file(name, snaps.local_fetch)
+
+            def write():
+                snaps.materialize_file(name, snaps.local_fetch, path)
+
+        for previous in (None, b"previous bytes"):
+            if previous is not None:
+                with open(path, "wb") as handle:
+                    handle.write(previous)
+            injector = ChaosInjector(seed=3, rules=[
+                FaultRule(site=site, fault="torn_write", keep_bytes=5),
+            ])
+            with chaos.injected(injector):
+                with pytest.raises(SimulatedCrash):
+                    write()
+            assert injector.injection_log == [(site, "torn_write")]
+            if previous is None:
+                assert not os.path.exists(path)
+            else:
+                assert open(path, "rb").read() == previous
+            write()
+            assert open(path, "rb").read() == expected
 
 
 class TestVerifyStore:

@@ -26,6 +26,7 @@ from conftest import chaos_seeds, hypothesis_examples
 from repro import chaos
 from repro.chaos import ChaosInjector, FaultRule, SimulatedCrash
 from repro.core import GraphData, ZipG
+from repro.core import persistence
 from repro.core.errors import SnapshotCorruptError, UnsupportedVersionError
 from repro.core.persistence import (
     SAVE_CRASH_POINTS,
@@ -247,21 +248,17 @@ class TestVersionCompat:
 
 
 class TestVerifyStreaming:
-    def test_small_chunks_equivalent(self, tmp_path):
+    def test_small_chunks_equivalent(self, tmp_path, monkeypatch):
         root = str(tmp_path / "db")
         save_store(build_store(), root)
         report = verify_store(root)
         assert report.ok
-        tiny = verify_store(root, chunk_bytes=7)
+        monkeypatch.setattr(persistence, "VERIFY_CHUNK_BYTES", 7)
+        tiny = verify_store(root)
         assert tiny == report
 
-    def test_invalid_chunk_size_rejected(self, tmp_path):
-        root = str(tmp_path / "db")
-        save_store(build_store(), root)
-        with pytest.raises(ValueError):
-            verify_store(root, chunk_bytes=0)
-
-    def test_corruption_detected_across_chunk_boundary(self, tmp_path):
+    def test_corruption_detected_across_chunk_boundary(self, tmp_path,
+                                                        monkeypatch):
         root = str(tmp_path / "db")
         save_store(build_store(), root)
         shard_files = [n for n in os.listdir(root) if n.startswith("shard-")]
@@ -271,7 +268,8 @@ class TestVerifyStreaming:
             byte = handle.read(1)
             handle.seek(10)
             handle.write(bytes([byte[0] ^ 0xFF]))
-        report = verify_store(root, chunk_bytes=7)
+        monkeypatch.setattr(persistence, "VERIFY_CHUNK_BYTES", 7)
+        report = verify_store(root)
         assert not report.ok
         assert any(issue.kind == "file-corrupt" for issue in report.issues)
 

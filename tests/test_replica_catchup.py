@@ -19,7 +19,7 @@ from repro.chaos import ChaosInjector, FaultRule
 from repro.cluster import ReplicatedZipGCluster, ShardUnavailable
 from repro.cluster.replication import LOGSTORE_UNIT
 from repro.core import GraphData, ReplicaCallError, ZipG
-from repro.core.errors import TransportError
+from repro.core.errors import GraphFormatError, TransportError
 from repro.core.model import EdgeData
 from repro.server.loopback import LoopbackCluster
 from repro.server.transport import InProcessTransport
@@ -485,3 +485,37 @@ class TestReplicatedUpdates:
             assert cluster.down_servers == set()
             assert cluster.applied_lsn(1) == cluster.commit_lsn == 4
             self.assert_replicas_updated(cluster, loopback)
+
+
+class TestRejectedAppends:
+    """A bad append raises on the master before it takes an LSN: no
+    replica sees it, and the writes after it still replicate."""
+
+    @staticmethod
+    def replica(_server_id):
+        return ZipG.compress(build_graph(), num_shards=2, alpha=8,
+                             logstore_threshold_bytes=64)
+
+    @pytest.mark.parametrize("properties", [
+        {"bogus": "x"}, {"name": 5}, {"name": "bad\x01value"},
+    ], ids=["unknown-pid", "non-str", "control-byte"])
+    def test_bad_append_is_applied_nowhere(self, properties):
+        cluster = ReplicatedZipGCluster(self.replica(-1), num_servers=2,
+                                        replication_factor=2)
+        with LoopbackCluster(cluster.store, num_servers=2,
+                             replica_factory=self.replica) as loopback:
+            cluster.transport = loopback.transport
+            with pytest.raises(GraphFormatError):
+                cluster.append_node(100, properties)
+            with pytest.raises(GraphFormatError):
+                cluster.append_edge(0, 0, 100, timestamp=1,
+                                    properties=properties)
+            assert cluster.commit_lsn == 0
+            cluster.append_node(101, {"name": "ok", "kind": "x"})
+            assert cluster.commit_lsn >= 1
+            for server in (0, 1):
+                assert cluster.applied_lsn(server) == cluster.commit_lsn
+            for store in [cluster.store] + [s.store for s in loopback.servers]:
+                assert not store.has_node(100)
+                assert store.get_node_property(101) == \
+                    {"name": "ok", "kind": "x"}
