@@ -38,11 +38,13 @@ by default, or shard-server processes over sockets); transport
 failures surface as retryable
 :class:`~repro.core.errors.TransportError`\\ s, so both behave alike.
 
-Writes replicate: each mutation is applied locally, assigned a
-monotone cluster LSN, recorded in an in-memory oplog (the WAL record
-vocabulary), and shipped to every live server as an ``apply_write``
-RPC tagged with this cluster's random stream id, so a replica applies
-a resent record once and a restarted master's LSNs start afresh.
+Writes replicate: each record the local store logged for a mutation
+(:meth:`ZipG.logged`) gets the next cluster LSN and ships to every live
+server as an ``apply_write`` RPC tagged with this cluster's random
+stream id.  Servers dedupe by (stream, LSN) -- the local store is marked
+as holding the records first -- so a resend, or a server fronting the
+master's own store, applies nothing twice.  The oplog keeps only what
+some server has not acknowledged; only catch-up reads it.
 :meth:`ReplicatedZipGCluster.recover_server` holds a returning server
 out of rotation (``catching_up_servers``) until its missed tail is
 replayed; a failed replay sends it back to down.  Rotation,
@@ -55,14 +57,14 @@ fragments spread round-robin across the servers instead of whole-shard
 copies (the hot oplog tail stays fully replicated).  A shard unit
 routes to its single owning server; when that fails, the cluster
 reconstructs the shard from any ``k`` surviving fragments
-(``zipg_ec_reconstructions_total``, ``ec.decode`` span), replays the
-post-snapshot oplog deletes onto it, and answers *completely*.  The
+(``zipg_ec_reconstructions_total``, ``ec.decode`` span) once, shares
+the live shard's deletion bitmap with it, and answers *completely*.  The
 pointer tables and hot tail live on every server, so the LogStore unit
 and ``get_node_property`` list every other live server after their
 owners.  Recovery is the same catch-up, then a rate-limited
 *background* rebuild of the server's missing fragments (``ec.rebuild``
 chaos site), a top-up replay, and only then re-admission.  Lock order:
-``_ec_lock`` before ``_write_lock`` before ``_state_lock``.
+``_write_lock`` or ``_ec_lock`` before ``_state_lock``.
 """
 # zipg: query-api
 
@@ -71,8 +73,9 @@ from __future__ import annotations
 import secrets
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import chaos, obs
 from repro.cluster.cluster import ZipGCluster
@@ -80,6 +83,7 @@ from repro.core.errors import (
     FragmentCorruptError, NodeNotFound, ReconstructionFailed, ReplicaCallError,
 )
 from repro.core.graph_store import ZipG
+from repro.core.logstore import LOGSTORE_UNIT
 from repro.core.model import PropertyList
 from repro.core.shard import CompressedShard
 from repro.ec import ErasureCodedSnapshots
@@ -103,11 +107,6 @@ def _catching_up_gauge():
 class ShardUnavailable(RuntimeError):
     """No live server can answer for a required unit (a shard or the
     LogStore): every one is down or catching up."""
-
-
-#: Pseudo shard id used to tag replica-call chaos sites and errors for
-#: the (unreplicated, §3.5) LogStore server.
-LOGSTORE_UNIT = -1
 
 
 @dataclass
@@ -149,9 +148,8 @@ class ReplicatedZipGCluster(ZipGCluster):
             from parity, not copies).
         ec_snapshots: the encoded snapshot handle
             (:class:`repro.ec.ErasureCodedSnapshots`); required with
-            ``placement="ec"``.  The snapshot must reflect the store's
-            state at cluster construction -- reconstruction replays
-            only the *cluster's* oplog on top of it.
+            ``placement="ec"``.  Its shard files must hold the store's
+            shards (a reconstruction takes the live deletion bitmap).
         rebuild_rate_bytes_s: throttle for the background fragment
             rebuild (None = unthrottled).
     """
@@ -181,11 +179,9 @@ class ReplicatedZipGCluster(ZipGCluster):
         self.retries = retries
         self.rebuild_rate_bytes_s = rebuild_rate_bytes_s
         self._ec = ec_snapshots
-        # Reconstructed-shard cache: shard_id -> [shard, oplog records
-        # already replayed onto it].  _ec_lock may acquire _write_lock /
-        # _state_lock; never the reverse.
+        # Reconstructed shards, decoded once: shard_id -> shard.
         self._ec_lock = threading.Lock()
-        self._ec_shards: Dict[int, List] = {}
+        self._ec_shards: Dict[int, CompressedShard] = {}
         self._rebuild_threads: Dict[int, threading.Thread] = {}
         self._rebuild_errors: Dict[int, BaseException] = {}
         if self._ec is not None and not store.ec_fragment_stores:
@@ -196,16 +192,16 @@ class ReplicatedZipGCluster(ZipGCluster):
         self._state_lock = threading.Lock()
         self._down: Set[int] = set()
         self._rotation: Dict[int, int] = {}
-        # Replicated-write state: this cluster's stream id (replicas
-        # dedupe resent records per stream), a monotone cluster LSN,
-        # the in-memory oplog of (lsn, op, args) in WAL vocabulary, what
-        # each server has acknowledged, and which servers are replaying
-        # a missed tail (held out of read rotation). Lock order:
-        # _write_lock before _state_lock, never the reverse.
+        # Replicated-write state: this cluster's stream id (servers
+        # dedupe records per stream), a monotone cluster LSN, the
+        # (lsn, op, args) records some server has not acknowledged,
+        # what each server has acknowledged, and which servers are
+        # replaying a missed tail (held out of read rotation). Lock
+        # order: _write_lock before _state_lock, never the reverse.
         self._write_lock = threading.Lock()
         self._stream = secrets.randbits(62)
         self._commit_lsn = 0
-        self._oplog: List[Tuple[int, str, List]] = []
+        self._oplog: deque = deque()
         self._applied_lsn: Dict[int, int] = {
             server: 0 for server in range(num_servers)
         }
@@ -380,9 +376,16 @@ class ReplicatedZipGCluster(ZipGCluster):
         for lsn, op, args in self._oplog:
             if lsn <= applied:
                 continue
-            self.transport.call(server_id, "apply_write", [lsn, op, list(args)],
+            self.transport.call(server_id, "apply_write", [lsn, op, args],
                                 kwargs={"stream": self._stream})
             self._applied_lsn[server_id] = lsn
+        self._trim_oplog_locked()
+
+    def _trim_oplog_locked(self) -> None:
+        """Drop the records every server has acknowledged."""
+        acknowledged = min(self._applied_lsn.values())
+        while self._oplog and self._oplog[0][0] <= acknowledged:
+            self._oplog.popleft()
 
     def _rebuild_and_admit(self, server_id: int) -> None:
         """Background half of ec recovery: rebuild the server's
@@ -433,35 +436,31 @@ class ReplicatedZipGCluster(ZipGCluster):
 
     def _ec_reconstructed_shard(self, shard_id: int) -> CompressedShard:
         """A served-from-parity stand-in for a shard whose server is
-        down: decode the shard's snapshot file from any ``k`` live
-        fragments, then replay the post-snapshot oplog deletes so the
-        reconstruction is epoch-fresh (appends live in the replicated
-        LogStore, and freezes only ever *create* shards, so deletes
-        are the only mutations an encoded shard can miss)."""
+        down, decoded once from any ``k`` live fragments.  It shares
+        the live shard's deletion bitmap, which holds every committed
+        delete (appends live in the replicated LogStore, and freezes
+        only *create* shards); a decoded shard whose counts differ
+        from the live one is refused, as the bitmap would misindex."""
         if self._ec is None:
             raise ReconstructionFailed("cluster has no erasure-coded snapshots")
         with self._ec_lock:
-            entry = self._ec_shards.get(shard_id)
-            if entry is None:
+            shard = self._ec_shards.get(shard_id)
+            if shard is None:
                 name = self._ec.shard_file(shard_id)
                 blob = self._ec.reconstruct_file(
                     name, self._ec_fetch, skip_servers=self._ec_skip_servers()
                 )
-                entry = [
-                    CompressedShard.from_bytes(blob, self.store.delimiters),
-                    0,
-                ]
-                self._ec_shards[shard_id] = entry
-            shard, replayed = entry
-            with self._write_lock:
-                tail = self._oplog[replayed:]
-            for _lsn, op, args in tail:
-                if op == "del_node":
-                    shard.delete_node(int(args[0]))
-                elif op == "del_edge":
-                    shard.delete_edges(int(args[0]), int(args[1]),
-                                       int(args[2]))
-            entry[1] = replayed + len(tail)
+                shard = CompressedShard.from_bytes(blob, self.store.delimiters)
+                live = self.store.shards[shard_id]
+                decoded = (len(shard.node_file), shard.edge_file.num_edges)
+                expected = (len(live.node_file), live.edge_file.num_edges)
+                if decoded != expected:
+                    raise ReconstructionFailed(
+                        f"{name}: decoded shard has (nodes, edges) "
+                        f"{decoded}, the live shard {expected}"
+                    )
+                shard.deletions = live.deletions
+                self._ec_shards[shard_id] = shard
             return shard
 
     def _ec_degraded_op(self, shard_id: int, method: str,
@@ -593,40 +592,33 @@ class ReplicatedZipGCluster(ZipGCluster):
     # Replicated writes
     # ------------------------------------------------------------------
 
-    def _replicated_write(self, op: str, args: List,
-                          apply_fn: Callable[[], object]) -> object:
-        """Apply one mutation locally, then replicate it.
+    def _replicate(self, write: Callable[[], Any]) -> Any:
+        """Run one mutation on the local store, then replicate it.
 
-        The mutation gets the next cluster LSN, lands in the oplog,
-        and ships to every live server as an ``apply_write`` RPC in
-        WAL vocabulary.  Auto-freezes triggered by the local apply are
-        detected via the store's ``freeze_count`` delta and replicate
-        as explicit ``freeze`` records -- replicas replay freezes
-        exactly where the master froze, never on their own thresholds,
-        so shard inventories stay aligned.  A server that fails its
-        ``apply_write`` is marked down (``recover_server`` will replay
-        its tail); the local result is returned regardless -- writes
-        are master-durable, replication is for availability."""
+        Each record the store logged (:meth:`ZipG.logged`: the
+        mutation, then any auto-freeze) gets the next cluster LSN,
+        lands in the oplog, and ships to every live server as an
+        ``apply_write`` RPC -- replicas freeze exactly where the master
+        froze, so shard inventories stay aligned.  A server that fails
+        its ``apply_write`` is marked down (``recover_server`` will
+        replay its tail); the local result is returned regardless --
+        writes are master-durable, replication is for availability."""
         with self._write_lock:
-            freeze_before = self.store.freeze_count
-            result = apply_fn()
-            records: List[Tuple[str, List]] = [(op, list(args))]
-            for _ in range(self.store.freeze_count - freeze_before):
-                records.append(("freeze", []))
+            result, records = self.store.logged(write)
+            first_lsn = self._commit_lsn + 1
+            self._commit_lsn += len(records)
+            self.store.replica_mark.hold(self._stream, self._commit_lsn)
             with self._state_lock:
                 targets = self._live_locked(range(self.num_servers))
             dead: Set[int] = set()
-            for record_op, record_args in records:
-                self._commit_lsn += 1
-                lsn = self._commit_lsn
-                self._oplog.append((lsn, record_op, record_args))
+            for lsn, (op, args) in enumerate(records, first_lsn):
+                self._oplog.append((lsn, op, args))
                 for server in targets:
                     if server in dead:
                         continue
                     try:
                         self.transport.call(
-                            server, "apply_write",
-                            [lsn, record_op, list(record_args)],
+                            server, "apply_write", [lsn, op, args],
                             kwargs={"stream": self._stream},
                         )
                         self._applied_lsn[server] = lsn
@@ -643,39 +635,27 @@ class ReplicatedZipGCluster(ZipGCluster):
             if dead:
                 with self._state_lock:
                     self._down.update(dead)
+            self._trim_oplog_locked()
         return result
 
     @obs.traced("replication.append_node", layer="cluster")
     def append_node(self, node_id: int, properties) -> None:
-        properties = dict(properties)
-        self._replicated_write(
-            "node", [node_id, properties],
-            lambda: self.store.append_node(node_id, properties),
-        )
+        self._replicate(lambda: self.store.append_node(node_id, properties))
 
     @obs.traced("replication.append_edge", layer="cluster")
     def append_edge(self, source: int, edge_type: int, destination: int,
                     timestamp: int = 0, properties=None) -> None:
-        properties = dict(properties or {})
-        self._replicated_write(
-            "edge", [source, edge_type, destination, timestamp, properties],
-            lambda: self.store.append_edge(source, edge_type, destination,
-                                           timestamp, properties),
-        )
+        self._replicate(lambda: self.store.append_edge(
+            source, edge_type, destination, timestamp, properties))
 
     @obs.traced("replication.delete_node", layer="cluster")
     def delete_node(self, node_id: int) -> bool:
-        return bool(self._replicated_write(
-            "del_node", [node_id],
-            lambda: self.store.delete_node(node_id),
-        ))
+        return self._replicate(lambda: self.store.delete_node(node_id))
 
     @obs.traced("replication.delete_edge", layer="cluster")
     def delete_edge(self, source: int, edge_type: int, destination: int) -> int:
-        return int(self._replicated_write(
-            "del_edge", [source, edge_type, destination],
-            lambda: self.store.delete_edge(source, edge_type, destination),
-        ))
+        return self._replicate(
+            lambda: self.store.delete_edge(source, edge_type, destination))
 
     # ------------------------------------------------------------------
     # Resilient shard calls

@@ -29,7 +29,7 @@ from typing import (
 
 from repro import obs
 from repro.core.delimiters import DelimiterMap
-from repro.core.errors import NodeNotFound
+from repro.core.errors import NodeNotFound, RecoveryError
 from repro.core.executor import ShardExecutor
 from repro.core.interface import GraphStoreInterface
 from repro.core.logstore import LogStore
@@ -42,6 +42,7 @@ from repro.succinct.stats import AccessStats
 
 EdgeTypeArg = Union[int, str]  # an EdgeType or the WILDCARD string
 _Store = TypeVar("_Store", bound="ZipG")
+_T = TypeVar("_T")
 
 _KNUTH = 2654435761
 
@@ -210,9 +211,10 @@ class EdgeRecord:
 
 
 class ReplicaMark:
-    """The last record a replica applied from its master: the master's
-    stream id and the record's LSN. Check, apply and advance run under
-    one lock, so a resend that races the first apply waits for it."""
+    """The last record a store holds from a master's replication log:
+    the master's stream id and the record's LSN. Check, apply and
+    advance run under one lock, so a resend that races the first apply
+    waits for it."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -228,6 +230,12 @@ class ReplicaMark:
             apply()
             self._last_stream, self._last_lsn = stream, lsn
             return True
+
+    def hold(self, stream: int, lsn: int) -> None:
+        """Mark records up to ``lsn`` of ``stream`` as held: the master
+        logged them on this very store."""
+        with self._lock:
+            self._last_stream, self._last_lsn = stream, lsn
 
 
 class ZipG(GraphStoreInterface):
@@ -274,6 +282,8 @@ class ZipG(GraphStoreInterface):
         # persistence layer; every mutation is logged before it is
         # applied so a crash loses at most the in-flight record.
         self._wal: Optional[object] = None
+        # The records _wal_log collects while logged() runs.
+        self._logged: Optional[List[Tuple[str, List]]] = None
         # Pointer hops actually followed by queries on this store (the
         # §3.5 fragmentation cost the per-layer breakdown attributes).
         self._pointer_hops = 0
@@ -289,9 +299,9 @@ class ZipG(GraphStoreInterface):
         # RPC ops resolve through this mapping; empty means this
         # process holds no fragments.
         self.ec_fragment_stores: Dict[int, object] = {}
-        # Replica side of ``apply_write``: which master records this
-        # store already holds (see apply_replicated_record).
-        self._replica_mark = ReplicaMark()
+        # Which master records this store already holds (see
+        # apply_replicated_record).
+        self.replica_mark = ReplicaMark()
         _publish_store_metrics(self)
 
     # ------------------------------------------------------------------
@@ -751,8 +761,22 @@ class ZipG(GraphStoreInterface):
         return self._wal
 
     def _wal_log(self, op: str, args: List) -> None:
+        if self._logged is not None:
+            self._logged.append((op, args))
         if self._wal is not None:
             self._wal.append_record(op, args)  # type: ignore[attr-defined]
+
+    def logged(self, write: Callable[[], _T]) -> Tuple[_T, List[Tuple[str, List]]]:
+        """Run ``write`` (update-API calls on this store) and return its
+        result with the ``(op, args)`` records it logged -- auto-freezes
+        included -- for a replicated cluster to ship."""
+        records: List[Tuple[str, List]] = []
+        self._logged = records
+        try:
+            result = write()
+        finally:
+            self._logged = None
+        return result, records
 
     @obs.traced("graph_store.append_node", layer="graph_store")
     def append_node(self, node_id: int, properties: PropertyList) -> None:
@@ -861,8 +885,6 @@ class ZipG(GraphStoreInterface):
         elif op == "compact":
             self._apply_compact()
         else:
-            from repro.core.errors import RecoveryError
-
             raise RecoveryError(f"unknown WAL record op {op!r}")
 
     def apply_replicated_record(
@@ -871,13 +893,13 @@ class ZipG(GraphStoreInterface):
         """Apply record ``lsn`` of master ``stream``'s replication log
         once; True if it was applied now.
 
-        A record at or below the last LSN applied from the same stream
-        is already held -- its ack was lost and the master's catch-up
-        resent it -- so it is skipped. The resend may arrive on another
-        connection while the first apply still runs, hence the lock. A
-        new stream (a restarted master numbers its writes from 1 again)
-        starts a new mark instead of being skipped."""
-        return self._replica_mark.apply_once(
+        A record at or below the last LSN held from the same stream is
+        skipped: its ack was lost and catch-up resent it (possibly while
+        the first apply still runs, hence the lock), or this is the
+        master's own store, which holds what it logged
+        (:meth:`ReplicaMark.hold`). A new stream (a restarted master
+        numbers its writes from 1 again) starts a new mark."""
+        return self.replica_mark.apply_once(
             stream, lsn, lambda: self.apply_wal_record(op, args)
         )
 

@@ -18,6 +18,10 @@ from repro import obs
 from repro.core.model import Edge, EdgeData, PropertyList
 from repro.succinct.stats import AccessStats
 
+#: The unit id of the LogStore (shards are ``>= 0``) in server RPCs,
+#: replica-call chaos tags and errors.
+LOGSTORE_UNIT = -1
+
 
 class LogEdgeFragment:
     """Uniform edge-fragment view over the LogStore's edge lists.

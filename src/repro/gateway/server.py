@@ -63,6 +63,6 @@ class GatewayServer(RpcServerBase):
     def stop(self) -> None:
         """Drain the service (admitted requests complete), then stop
         accepting and drop every connection."""
-        if not self.stopped:  # a crashed gateway drains nothing
+        if not self._stopping.is_set():  # a crashed gateway drains nothing
             self.service.drain()
         super().stop()

@@ -23,9 +23,9 @@ topology with actual OS processes and TCP sockets:
 
 Failure semantics are inherited, not reinvented: transport failures
 surface as retryable :class:`~repro.core.errors.TransportError`\\ s, so
-the executor's retry/backoff/deadline machinery and the replicated
-cluster's failover/partial-results paths behave identically over real
-network faults and simulated ones.
+the replicated cluster's failover loop (its one retry) and its
+partial-results path behave identically over real network faults and
+simulated ones.
 """
 
 from repro.server.client import ZipGClient

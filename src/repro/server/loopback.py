@@ -13,10 +13,11 @@ Two store modes:
 
 * **shared** (default): every server fronts the *same* store object as
   the cluster.  Query semantics are byte-identical to in-process
-  dispatch (same shards, same stats), and ``apply_write`` RPCs
-  acknowledge without re-applying -- the master already mutated the
-  shared store.  Chaos injection composes because the injector is
-  process-global.
+  dispatch (same shards, same stats).  The servers are plain
+  :class:`ShardServer`\\ s: an ``apply_write`` is acknowledged without
+  being applied again because the master marked the shared store as
+  holding the record (``ZipG.apply_replicated_record``).  Chaos
+  injection composes because the injector is process-global.
 * **replica factory**: ``replica_factory(server_id)`` builds a private
   store per server.  Writes then replicate for real over RPC, which is
   what the replica-divergence and catch-up-over-the-wire tests need.
@@ -39,13 +40,10 @@ class LoopbackCluster:
                  replica_factory: Optional[Callable[[int], ZipG]] = None,
                  timeout_s: Optional[float] = 10.0) -> None:
         self.servers: List[ShardServer] = []
-        shared = replica_factory is None
         for server_id in range(num_servers):
-            server_store = store if shared else replica_factory(server_id)
-            server = ShardServer(
-                server_store, server_id=server_id,
-                apply_writes=not shared,
-            ).start()
+            server_store = (store if replica_factory is None
+                            else replica_factory(server_id))
+            server = ShardServer(server_store, server_id=server_id).start()
             self.servers.append(server)
         self.addresses: Dict[int, Tuple[str, int]] = {
             server.server_id: server.address for server in self.servers

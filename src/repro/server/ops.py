@@ -14,14 +14,14 @@ storage unit the operation targets --
 * ``-1``         -- the LogStore (:data:`LOGSTORE_UNIT`, §3.5);
 * ``shard_id >= 0`` -- one compressed shard.
 
-``apply_write`` is the replication op: the master applies a mutation
-locally, then ships ``(lsn, op, args)`` -- the exact WAL record
-vocabulary -- and its ``stream`` id to each replica, which applies it
-once via ``ZipG.apply_replicated_record``.  A server fronting the
-*same* store object as the master (the in-process backend, and the
-loopback harness's shared-store mode) must acknowledge without
-re-applying, or every write would land twice; ``apply_writes=False``
-selects that mode.
+``apply_write`` is the replication op: the master ships each record
+its store logged, ``(lsn, op, args)`` in WAL vocabulary, with its
+``stream`` id, and the server applies it once via
+``ZipG.apply_replicated_record``.  A server fronting the master's own
+store object (the in-process backend, the loopback harness's shared
+mode) needs no special case: the master marked that store as holding
+the record before shipping it, so the same dedupe acknowledges it
+without applying it again.
 """
 # zipg: robust-path
 
@@ -30,11 +30,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.graph_store import ZipG
-
-#: Wire value for "the LogStore" (matches
-#: :data:`repro.cluster.replication.LOGSTORE_UNIT`; duplicated here so
-#: the server package never imports the cluster layer at module level).
-LOGSTORE_UNIT = -1
+from repro.core.logstore import LOGSTORE_UNIT
 
 
 def resolve_unit(store: ZipG, unit: Optional[int]) -> object:
@@ -63,16 +59,10 @@ def _op(name: str) -> Callable[[Callable], Callable]:
     return register
 
 
-def methods() -> List[str]:
-    """The registered method names (for introspection and tests)."""
-    return sorted(_HANDLERS)
-
-
 # zipg: rpc-entry
 def run_op(store: ZipG, method: str, args: List[object],
             kwargs: Optional[Dict[str, object]] = None,
-            unit: Optional[int] = None,
-            apply_writes: bool = True) -> object:
+            unit: Optional[int] = None) -> object:
     """Run one RPC method against the local store.
 
     Raises :class:`KeyError` for unknown methods (the server turns
@@ -80,19 +70,17 @@ def run_op(store: ZipG, method: str, args: List[object],
     handler = _HANDLERS.get(method)
     if handler is None:
         raise KeyError(f"unknown RPC method {method!r}")
-    return handler(_Context(store, unit, apply_writes), *args, **(kwargs or {}))
+    return handler(_Context(store, unit), *args, **(kwargs or {}))
 
 
 class _Context:
-    """What a handler gets: the store, the addressed unit, write mode."""
+    """What a handler gets: the store and the addressed unit."""
 
-    __slots__ = ("store", "unit", "apply_writes")
+    __slots__ = ("store", "unit")
 
-    def __init__(self, store: ZipG, unit: Optional[int],
-                 apply_writes: bool) -> None:
+    def __init__(self, store: ZipG, unit: Optional[int]) -> None:
         self.store = store
         self.unit = unit
-        self.apply_writes = apply_writes
 
 
 # ----------------------------------------------------------------------
@@ -197,11 +185,10 @@ def _apply_write(ctx: _Context, lsn: int, op: str, args: List[object],
     re-log or auto-freeze -- freezes replicate as explicit ``freeze``
     records from the master, keeping shard inventories aligned.
 
-    ``stream`` names the sending master process. A record this replica
-    already applied from that stream (its ack was lost and the master's
-    catch-up resent it) is acknowledged without being applied twice
-    (``ZipG.apply_replicated_record``)."""
+    ``stream`` names the sending master process. A record the store
+    already holds from that stream (its ack was lost and the master's
+    catch-up resent it, or the store *is* the master's) is acknowledged
+    without being applied twice (``ZipG.apply_replicated_record``)."""
     lsn = int(lsn)
-    if ctx.apply_writes:
-        ctx.store.apply_replicated_record(int(stream), lsn, op, list(args))
+    ctx.store.apply_replicated_record(int(stream), lsn, op, args)
     return lsn

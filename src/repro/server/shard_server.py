@@ -83,6 +83,7 @@ class RpcServerBase:
         self._lock = threading.Lock()
         self._connections: Set[socket.socket] = set()
         self._stopping = threading.Event()
+        self._closed = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
 
     def _execute(self, method: str, args: List[object],
@@ -113,13 +114,19 @@ class RpcServerBase:
 
     @property
     def stopped(self) -> bool:
-        return self._stopping.is_set()
+        """True once :meth:`stop` has closed the listener."""
+        return self._closed.is_set()
 
     def stop(self) -> None:
         """Stop accepting and drop every connection."""
         self._stopping.set()
         try:
-            self._listener.close()
+            try:
+                # A poll in accept() keeps the socket listening past
+                # close(); shutdown() stops it at once.
+                self._listener.shutdown(socket.SHUT_RDWR)
+            finally:
+                self._listener.close()
         except OSError:
             pass  # zipg: ignore[ROBUST001] - already closed
         with self._lock:
@@ -130,6 +137,7 @@ class RpcServerBase:
         if (accept_thread is not None and accept_thread.is_alive()
                 and accept_thread is not threading.current_thread()):
             accept_thread.join(timeout=5.0)
+        self._closed.set()
 
     def __enter__(self) -> "RpcServerBase":
         return self.start()
@@ -263,20 +271,16 @@ class ShardServer(RpcServerBase):
 
     Args:
         store: the local store (a full replica in the replicated
-            deployment).
-        apply_writes: whether ``apply_write`` RPCs mutate the local
-            store. ``False`` only for loopback harnesses whose servers
-            *share* the writer's store object.
+            deployment, or the master's own store object in a loopback
+            harness -- ``apply_write`` dedupes either way).
     """
 
     role = "shard"
 
     def __init__(self, store: ZipG, server_id: int = 0,
-                 host: str = "127.0.0.1", port: int = 0,
-                 apply_writes: bool = True) -> None:
+                 host: str = "127.0.0.1", port: int = 0) -> None:
         super().__init__(server_id=server_id, host=host, port=port)
         self.store = store
-        self.apply_writes = apply_writes
 
     # zipg: rpc-entry
     def _execute(self, method: str, args: List[object],
@@ -284,8 +288,7 @@ class ShardServer(RpcServerBase):
                  request: Dict[str, object]) -> object:
         unit = request.get("unit")
         return ops.run_op(self.store, method, args, kwargs=kwargs,
-                          unit=unit if isinstance(unit, int) else None,
-                          apply_writes=self.apply_writes)
+                          unit=unit if isinstance(unit, int) else None)
 
 
 def _close_socket(sock: socket.socket) -> None:

@@ -62,9 +62,9 @@ class Transport(ABC):
 class InProcessTransport(Transport):
     """All virtual servers answer from one shared local store.
 
-    ``apply_write`` always acknowledges without re-applying: the
-    master already mutated the shared store, so applying again would
-    double every write."""
+    ``apply_write`` runs the same dedupe as on any replica: the master
+    marked the shared store as holding each record it ships, so the
+    record is acknowledged, not applied twice."""
 
     def __init__(self, store: ZipG) -> None:
         self.store = store
@@ -73,7 +73,7 @@ class InProcessTransport(Transport):
              unit: Optional[int] = None,
              kwargs: Optional[Dict[str, object]] = None) -> object:
         return ops.run_op(self.store, method, list(args), kwargs=kwargs,
-                          unit=unit, apply_writes=False)
+                          unit=unit)
 
 
 class _ConnectionPool:
@@ -174,8 +174,8 @@ class SocketTransport(Transport):
         addresses: ``server_id -> (host, port)`` for every server the
             cluster may address.
         timeout_s: socket timeout per connection (connect and reads);
-            ``None`` blocks indefinitely -- rely on the executor's
-            cooperative deadline instead.
+            ``None`` blocks indefinitely: a stalled server then stalls
+            its caller, and nothing else bounds the call.
     """
 
     def __init__(self, addresses: Dict[int, Tuple[str, int]],

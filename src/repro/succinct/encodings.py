@@ -18,8 +18,8 @@ Registered codecs:
   than Succinct but with O(length) extracts and no NPA walks. The
   Fig. 5/6 benches ablate the two.
 
-Blobs written before the format tag existed (store format v3) carry no
-tag section and decode as ``"succinct"``.
+Every codec writes the tag; a blob without one is refused like a blob
+with an unknown tag.
 """
 
 from __future__ import annotations
@@ -132,10 +132,12 @@ def decode_sections(
     sections: dict, stats: Optional[AccessStats] = None
 ) -> "ShardEncoding":
     """Rebuild a codec from unpacked sections, dispatching on the
-    self-describing format tag (absent tag = pre-v4 blob = Succinct)."""
+    self-describing format tag (:class:`ValueError` if it is missing
+    or unknown)."""
     tag = sections.get(FORMAT_SECTION)
-    name = bytes(tag).decode("ascii") if tag is not None else "succinct"  # zipg: owned-copy
-    cls = encoding_class(name)
+    if tag is None:
+        raise ValueError(f"flat file has no {FORMAT_SECTION!r} codec tag")
+    cls = encoding_class(bytes(tag).decode("ascii"))  # zipg: owned-copy
     return cls.from_sections(sections, stats=stats)
 
 

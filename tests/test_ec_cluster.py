@@ -24,6 +24,7 @@ from repro.chaos import ChaosInjector, FaultRule, SimulatedCrash
 from repro.cluster import PartialResult, ReplicatedZipGCluster
 from repro.cluster.replication import LOGSTORE_UNIT
 from repro.core import GraphData, NodeNotFound, ZipG
+from repro.core.errors import ReconstructionFailed
 from repro.core.persistence import save_store
 from repro.ec import ErasureCodedSnapshots
 
@@ -48,24 +49,30 @@ def reconstruction_count(snaps) -> float:
     )
 
 
-def build_graph() -> GraphData:
+def build_graph(num_nodes: int = 24) -> GraphData:
     graph = GraphData()
-    for i in range(24):
+    for i in range(num_nodes):
         graph.add_node(i, {"name": f"n{i}", "kind": "x" if i % 2 else "y"})
         graph.add_edge(i, (i + 1) % 24, 0, timestamp=i,
                        properties={"w": str(i % 3)})
     return graph
 
 
-def build_ec_cluster(tmp_path, cache_budget=0, **kwargs):
-    """A 3-server ec-placement cluster over a freshly encoded snapshot."""
+def build_ec_cluster(tmp_path, cache_budget=0, snapshot_nodes=24, **kwargs):
+    """A 3-server ec-placement cluster over a freshly encoded snapshot
+    (of a graph with ``snapshot_nodes`` nodes; any other count than the
+    store's 24 encodes files that do not match the store's shards)."""
     store = ZipG.compress(build_graph(), num_shards=4, alpha=8,
                           logstore_threshold_bytes=1 << 20)
     if cache_budget:
         store.enable_cache(cache_budget)
     root = str(tmp_path / "snap")
     ec_root = str(tmp_path / "ec")
-    save_store(store, root)
+    snapshot = store
+    if snapshot_nodes != 24:
+        snapshot = ZipG.compress(build_graph(snapshot_nodes), num_shards=4,
+                                 alpha=8)
+    save_store(snapshot, root)
     snaps = ErasureCodedSnapshots.encode_snapshot(
         root, ec_root, num_servers=NUM_SERVERS
     )
@@ -260,6 +267,65 @@ class TestEpochFreshness:
         assert not cluster.down_servers
         assert not cluster.catching_up_servers
         assert cluster.get_node_ids({"kind": "x"}) == after_writes
+
+
+    def test_delete_after_reconstruction_shows_in_next_degraded_read(
+            self, tmp_path):
+        """No cache: the reconstructed stand-in shares the live shard's
+        deletion bitmap, so node and edge deletes made after it was
+        decoded show in the next degraded read."""
+        cluster, store, _ = build_ec_cluster(tmp_path)
+        owned = [n for n in range(24) if store.route(n) % NUM_SERVERS == 1]
+        node = owned[0]
+        source = next(n for n in owned if n % 3 == 1)  # its edge has w=1
+        kind = "x" if node % 2 else "y"
+        cluster.fail_server(1)
+        assert node in cluster.get_node_ids({"kind": kind})
+        assert any(hit[0] == source for hit in cluster.find_edges("w", "1"))
+        assert cluster.delete_node(node)
+        assert cluster.delete_edge(source, 0, source + 1) == 1
+        degraded = cluster.get_node_ids({"kind": kind})
+        assert node not in degraded
+        assert degraded == store.get_node_ids({"kind": kind})
+        degraded_edges = cluster.find_edges("w", "1")
+        assert all(hit[0] != source for hit in degraded_edges)
+        assert degraded_edges == store.find_edges("w", "1")
+
+    def test_mismatched_decoded_shard_is_refused(self, tmp_path):
+        """A snapshot whose shard holds other records than the live
+        shard cannot take the live deletion bitmap: the degraded read
+        refuses it instead of answering from misindexed bits."""
+        cluster, store, _ = build_ec_cluster(tmp_path, snapshot_nodes=30)
+        cluster.fail_server(1)
+        with pytest.raises(ReconstructionFailed, match="live shard"):
+            cluster.get_node_ids({"kind": "x"})
+        partial = cluster.get_node_ids({"kind": "x"}, partial_results=True)
+        assert [error.shard_id for error in partial.errors] == [1]
+        assert isinstance(partial.errors[0].error, ReconstructionFailed)
+
+
+class TestOplogBound:
+    def test_oplog_holds_only_unacknowledged_records(self, tmp_path):
+        """Under ec too, the oplog is empty while every server keeps
+        up, holds exactly a downed server's missed records, and is
+        empty again once recovery (catch-up, rebuild, top-up) ends."""
+        cluster, _, snaps = build_ec_cluster(tmp_path)
+        for i in range(10):
+            cluster.append_node(100 + i, {"name": f"a{i}", "kind": "x"})
+        assert cluster.commit_lsn == 10
+        assert len(cluster._oplog) == 0
+        cluster.fail_server(1)
+        for i in range(5):
+            cluster.append_node(200 + i, {"name": f"b{i}", "kind": "y"})
+        assert [lsn for lsn, _op, _args in cluster._oplog] == \
+            list(range(11, 16))
+        snaps.store_for(1).wipe()
+        cluster.recover_server(1)
+        assert cluster.wait_for_rebuild(1, timeout_s=60)
+        assert cluster.rebuild_error(1) is None
+        assert not cluster.down_servers
+        assert cluster.applied_lsn(1) == cluster.commit_lsn == 15
+        assert len(cluster._oplog) == 0
 
 
 class TestRebuild:

@@ -9,7 +9,7 @@ properties that make that safe to ship:
   update streams, and both registered shard codecs.
 * **Versions** -- only version-4 roots load: version 3 (no
   ``encoding`` manifest key) and unknown versions and modes are
-  rejected; an untagged shard blob still decodes as Succinct.
+  rejected, and so is a shard blob without a codec tag.
 * **Crash safety** -- recovery with ``mode="mmap"`` at every injected
   save crash point (and under torn writes) yields the same consistent
   state the eager path recovers.
@@ -228,18 +228,22 @@ class TestVersionCompat:
                 "unsupported-version"
             ]
 
-    def test_untagged_blob_decodes_as_succinct(self):
-        """Pre-v4 flat files carry no ``__format__`` section; the
-        decoder must fall back to the Succinct codec."""
+    def test_untagged_blob_is_rejected(self):
+        """Every codec writes the ``__format__`` section; a flat file
+        without it is refused like one with an unknown tag, not guessed
+        to be Succinct."""
         original = SuccinctFile(b"walk in silence, do not walk away",
                                 alpha=4)
         sections = dict(original.sections())
         assert FORMAT_SECTION in sections
+        assert isinstance(decode_flat_file(pack_sections(sections)),
+                          SuccinctFile)
+        sections[FORMAT_SECTION] = b"no-such-codec"
+        with pytest.raises(ValueError):
+            decode_flat_file(pack_sections(sections))
         del sections[FORMAT_SECTION]
-        decoded = decode_flat_file(pack_sections(sections))
-        assert isinstance(decoded, SuccinctFile)
-        assert decoded.decompress() == original.decompress()
-        assert list(decoded.search(b"walk")) == list(original.search(b"walk"))
+        with pytest.raises(ValueError, match=FORMAT_SECTION):
+            decode_flat_file(pack_sections(sections))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import TransportHook, chaos_seeds
+from conftest import TransportHook, chaos_seeds, socket_transport_enabled
 from repro import chaos, obs
 from repro.chaos import ChaosInjector, FaultRule
 from repro.cluster import ReplicatedZipGCluster, ShardUnavailable
@@ -22,7 +22,17 @@ from repro.core import GraphData, ReplicaCallError, ZipG
 from repro.core.errors import GraphFormatError, TransportError
 from repro.core.model import EdgeData
 from repro.server.loopback import LoopbackCluster
-from repro.server.transport import InProcessTransport
+from repro.server.shard_server import ShardServer
+from repro.server.transport import InProcessTransport, SocketTransport
+
+_loopbacks = []
+
+
+@pytest.fixture(autouse=True)
+def close_loopbacks():
+    yield
+    while _loopbacks:
+        _loopbacks.pop().close()
 
 
 def build_graph(extra_nodes=0):
@@ -33,11 +43,18 @@ def build_graph(extra_nodes=0):
     return graph
 
 
-def build_cluster(num_servers=3, replication_factor=2):
+def build_cluster(num_servers=3, replication_factor=2,
+                  logstore_threshold_bytes=1 << 20):
+    """A cluster whose servers all front its own store: in-process, or
+    over loopback sockets with ``ZIPG_TRANSPORT=socket``."""
     store = ZipG.compress(build_graph(), num_shards=3, alpha=8,
-                          logstore_threshold_bytes=1 << 20)
+                          logstore_threshold_bytes=logstore_threshold_bytes)
     cluster = ReplicatedZipGCluster(store, num_servers=num_servers,
                                     replication_factor=replication_factor)
+    if socket_transport_enabled():
+        loopback = LoopbackCluster(store, num_servers)
+        _loopbacks.append(loopback)
+        cluster.transport = loopback.transport
     return cluster, store
 
 
@@ -519,3 +536,65 @@ class TestRejectedAppends:
                 assert not store.has_node(100)
                 assert store.get_node_property(101) == \
                     {"name": "ok", "kind": "x"}
+
+
+class TestOplogBound:
+    """The oplog keeps only the records some server has not
+    acknowledged: empty while every server keeps up, exactly a downed
+    server's missed tail while it is away, empty again once its
+    catch-up replays that tail."""
+
+    def test_oplog_holds_only_unacknowledged_records(self):
+        # 18 LogStore bytes per append: the 9th of ten crosses 150 and
+        # freezes, so ten appends log eleven records.
+        cluster, store = build_cluster(logstore_threshold_bytes=150)
+        for i in range(10):
+            cluster.append_node(100 + i, {"name": f"a{i}", "kind": "x"})
+        assert store.freeze_count == 1
+        assert cluster.commit_lsn == 11
+        assert len(cluster._oplog) == 0
+        cluster.fail_server(1)
+        for i in range(5):
+            cluster.append_node(200 + i, {"name": f"b{i}", "kind": "y"})
+        assert [lsn for lsn, _op, _args in cluster._oplog] == \
+            list(range(12, 17))
+        assert cluster.applied_lsn(1) == 11
+        cluster.recover_server(1)
+        assert cluster.applied_lsn(1) == cluster.commit_lsn == 16
+        assert len(cluster._oplog) == 0
+        assert store.freeze_count == 1
+
+
+class TestSharedStoreServer:
+    def test_default_server_on_the_master_store_applies_once(self):
+        """Plain shard servers fronting the master's own store object:
+        every replicated record -- an auto-freeze, and a catch-up
+        resend included -- is acknowledged through the (stream, LSN)
+        dedupe, so each write lands on the store exactly once."""
+        cluster, store = build_cluster(num_servers=2,
+                                       logstore_threshold_bytes=150)
+        twin = ZipG.compress(build_graph(), num_shards=3, alpha=8,
+                             logstore_threshold_bytes=150)
+        servers = [ShardServer(store, server_id=i).start() for i in (0, 1)]
+        transport = SocketTransport(
+            {server.server_id: server.address for server in servers})
+        cluster.transport = transport
+        try:
+            for i in range(10):
+                cluster.append_node(100 + i, {"name": f"a{i}", "kind": "x"})
+                twin.append_node(100 + i, {"name": f"a{i}", "kind": "x"})
+            cluster.append_edge(3, 0, 7)
+            twin.append_edge(3, 0, 7)
+            cluster.fail_server(1)
+            assert cluster.delete_edge(3, 0, 4) == twin.delete_edge(3, 0, 4)
+            cluster.recover_server(1)
+            assert cluster.applied_lsn(1) == cluster.commit_lsn == 13
+        finally:
+            transport.close()
+            for server in servers:
+                server.stop()
+        assert store.freeze_count == twin.freeze_count == 1
+        assert store.edge_count(3, 0) == twin.edge_count(3, 0) == 1
+        assert store.get_neighbor_ids(3, 0) == [7]
+        assert store.get_node_ids({"kind": "x"}) == \
+            twin.get_node_ids({"kind": "x"})

@@ -13,6 +13,7 @@ and asserts every failure stays structured.
 
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -58,7 +59,7 @@ ROLES = ["shard", "master", "gateway"]
 def make_server(role):
     store = make_store()
     if role == "shard":
-        return ShardServer(store, server_id=0, apply_writes=False)
+        return ShardServer(store, server_id=0)
     cluster = ReplicatedZipGCluster(store, num_servers=2,
                                     replication_factor=1)
     if role == "master":
@@ -221,6 +222,59 @@ class TestArrivalOrder:
             with pytest.raises(ConnectionRefusedError):
                 socket.create_connection(server.address, timeout=5.0)
         assert escaped == []
+
+
+    def test_stopped_only_once_the_listener_is_closed(self):
+        """``stopped`` promises refused reconnects, so it must not turn
+        true before the listener is closed: with the close slowed down,
+        a server mid-``stop()`` is not yet stopped."""
+
+        class SlowClose:
+            def __init__(self, listener):
+                self.listener = listener
+                self.closing = threading.Event()
+
+            def accept(self):
+                return self.listener.accept()
+
+            def shutdown(self, how):
+                self.listener.shutdown(how)
+
+            def close(self):
+                self.closing.set()
+                time.sleep(0.5)
+                self.listener.close()
+
+        server = ShardServer(make_store(), server_id=0)
+        slow = SlowClose(server._listener)
+        server._listener = slow
+        server.start()
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        assert slow.closing.wait(5.0)
+        assert not server.stopped
+        stopper.join(5.0)
+        assert server.stopped
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(server.address, timeout=5.0)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="shutdown() of a listening socket is Linux")
+    def test_stop_refuses_while_the_listener_is_still_referenced(self):
+        """The accept thread's poll keeps the listening socket alive
+        for up to one accept tick after ``close()``, and a connect in
+        that window completes.  A second reference (a ``dup``) pins the
+        same state deterministically: after ``stop()`` the server must
+        refuse anyway."""
+        with ShardServer(make_store(), server_id=0) as server:
+            held = server._listener.dup()
+            try:
+                server.stop()
+                assert server.stopped
+                with pytest.raises(ConnectionRefusedError):
+                    socket.create_connection(server.address, timeout=5.0)
+            finally:
+                held.close()
 
 
 # ----------------------------------------------------------------------
