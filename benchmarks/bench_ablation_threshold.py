@@ -59,6 +59,9 @@ def test_ablation_logstore_threshold(benchmark):
         ["threshold B", "freezes", "shards", "avg frags", "log bytes", "read us"],
         rows,
     ))
+    # A freeze during the read phase must not price a read negative:
+    # the access meters hand over across it.
+    assert all(r["read_latency_us"] > 0 for r in results), rows
     small, _, large = results
     # Smaller threshold -> more freezes, more shards, more fragmentation.
     assert small["freezes"] > large["freezes"]

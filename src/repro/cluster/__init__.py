@@ -1,9 +1,10 @@
 """The serving ZipG cluster (§4.1, Figure 4).
 
-Shards are placed on servers (:class:`ZipGCluster`), replicated or
-erasure-coded with failover and replicated writes
-(:class:`ReplicatedZipGCluster`), and neighbourhood queries can run as
-explicit multi-level function shipping
+One serving class, :class:`ReplicatedZipGCluster`, places the store's
+shards on servers, replicated (``replication_factor=1`` is plain
+placement) or erasure-coded, with failover and replicated writes; its
+per-server calls go through a transport.  Neighbourhood queries can run
+as explicit multi-level function shipping
 (:class:`FunctionShippingAggregator`).
 
 The Figure 9 simulator -- per-server busy time, ``run_operation`` and
@@ -16,7 +17,6 @@ from repro.cluster.aggregator import (
     ShippingLevel,
     ShippingTrace,
 )
-from repro.cluster.cluster import ZipGCluster
 from repro.cluster.replication import (
     PartialResult,
     ReplicatedZipGCluster,
@@ -32,5 +32,4 @@ __all__ = [
     "ShardUnavailable",
     "ShippingLevel",
     "ShippingTrace",
-    "ZipGCluster",
 ]

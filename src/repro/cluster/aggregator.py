@@ -11,10 +11,10 @@ who live in Ithaca" decomposes exactly as in Figure 4:
 * the aggregator intersects/filters and returns.
 
 :class:`FunctionShippingAggregator` executes that plan explicitly over
-a :class:`~repro.cluster.cluster.ZipGCluster`, recording the shipping
-trace (levels, per-level target servers, message counts) so the
-communication structure is observable -- and charges one network round
-trip per level, since each level's sub-queries run in parallel.
+a :class:`~repro.cluster.replication.ReplicatedZipGCluster`, recording
+the shipping trace (levels, per-level target servers, message counts)
+so the communication structure is observable -- and charges one network
+round trip per level, since each level's sub-queries run in parallel.
 """
 
 from __future__ import annotations

@@ -78,11 +78,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import chaos, obs
-from repro.cluster.cluster import ZipGCluster
 from repro.core.errors import (
     FragmentCorruptError, NodeNotFound, ReconstructionFailed, ReplicaCallError,
 )
-from repro.core.graph_store import ZipG
+from repro.core.graph_store import ZipG, merge_edge_hits, merge_node_hits
+from repro.core.interface import GraphStoreInterface
 from repro.core.logstore import LOGSTORE_UNIT
 from repro.core.model import PropertyList
 from repro.core.shard import CompressedShard
@@ -102,6 +102,15 @@ def _catching_up_gauge():
         "zipg_replicas_catching_up",
         help="recovered replicas still replaying missed writes",
     )
+
+
+def _on_store(name: str) -> Callable:
+    """A method that runs the store's method ``name``."""
+    def forward(self, *args, **kwargs):
+        return getattr(self.store, name)(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
 
 
 class ShardUnavailable(RuntimeError):
@@ -131,12 +140,13 @@ class PartialResult:
         return not self.errors
 
 
-class ReplicatedZipGCluster(ZipGCluster):
-    """A ZipG cluster with per-shard replication.
+class ReplicatedZipGCluster(GraphStoreInterface):
+    """The serving ZipG cluster: the store's shards placed on servers,
+    with per-shard replication.
 
     Args:
         store: the logical ZipG store.
-        num_servers: cluster size.
+        num_servers: cluster size (>= 1).
         replication_factor: replicas per shard (the paper's app-chosen
             knob). Must not exceed ``num_servers``.
         retries: extra :meth:`_failover` passes a broadcast unit makes
@@ -154,12 +164,15 @@ class ReplicatedZipGCluster(ZipGCluster):
             rebuild (None = unthrottled).
     """
 
+    name = "zipg"
+
     def __init__(self, store: ZipG, num_servers: int,
                  replication_factor: int = 2, retries: int = 0,
                  placement: str = "replication",
                  ec_snapshots: Optional[ErasureCodedSnapshots] = None,
                  rebuild_rate_bytes_s: Optional[float] = None):
-        super().__init__(store, num_servers)
+        if num_servers < 1:
+            raise ValueError("num_servers must be >= 1")
         if placement not in ("replication", "ec"):
             raise ValueError(f"unknown placement {placement!r}")
         if placement == "ec":
@@ -174,6 +187,11 @@ class ReplicatedZipGCluster(ZipGCluster):
             raise ValueError("replication_factor must be in [1, num_servers]")
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        self.store = store
+        self.num_servers = num_servers
+        # Per-server dispatch seam; None until the `transport` property
+        # materializes the in-process default.
+        self._transport = None
         self.placement = placement
         self.replication_factor = replication_factor
         self.retries = retries
@@ -210,8 +228,33 @@ class ReplicatedZipGCluster(ZipGCluster):
         self._broadcast_flights = SingleFlight()
 
     # ------------------------------------------------------------------
-    # Placement
+    # Dispatch and placement
     # ------------------------------------------------------------------
+
+    @property
+    def transport(self):
+        """The :class:`~repro.server.transport.Transport` every
+        per-server operation dispatches through.
+
+        Defaults to an in-process backend resolving against the local
+        store; assign a :class:`~repro.server.transport.SocketTransport`
+        to route the same calls to real shard-server processes.
+        Created lazily -- and imported lazily, because the server
+        package imports cluster types for its wire codec."""
+        if self._transport is None:
+            from repro.server.transport import InProcessTransport
+
+            self._transport = InProcessTransport(self.store)
+        return self._transport
+
+    @transport.setter
+    def transport(self, transport) -> None:
+        self._transport = transport
+
+    @property
+    def logstore_server(self) -> int:
+        """The dedicated LogStore server (§3.5); server 0 here."""
+        return 0
 
     def replica_servers(self, shard_id: int) -> List[int]:
         """Servers holding a replica of ``shard_id`` (primary first)."""
@@ -463,19 +506,6 @@ class ReplicatedZipGCluster(ZipGCluster):
                 self._ec_shards[shard_id] = shard
             return shard
 
-    def _ec_degraded_op(self, shard_id: int, method: str,
-                        wire_args: List) -> object:
-        """Answer one shard-unit op from a reconstructed shard."""
-        shard = self._ec_reconstructed_shard(shard_id)
-        if method == "find_live_nodes":
-            return shard.find_live_nodes(dict(wire_args[0]))
-        if method == "find_edges_by_property":
-            return shard.find_edges_by_property(str(wire_args[0]),
-                                                str(wire_args[1]))
-        raise ReconstructionFailed(
-            f"no degraded dispatch for shard op {method!r}"
-        )
-
     def _rebuild_fragments(self, server_id: int) -> int:
         """Re-create the server's missing fragments from the survivors,
         throttled to ``rebuild_rate_bytes_s``; returns how many were
@@ -573,7 +603,7 @@ class ReplicatedZipGCluster(ZipGCluster):
         way the result is published as the mode-labeled
         ``zipg_storage_footprint_bytes`` gauge, so the overhead claim
         is observable at runtime."""
-        single = super().storage_footprint_bytes()
+        single = self.store.storage_footprint_bytes()
         if self._ec is not None:
             manifest = self._ec.manifest
             footprint = single + manifest.storage_bytes() - manifest.data_bytes()
@@ -678,7 +708,8 @@ class ReplicatedZipGCluster(ZipGCluster):
         (§3.5); under ec its hot tail is on every server, so the other
         live servers follow it.  Under ec a shard unit no server could
         answer falls back to fragment reconstruction -- a *complete*
-        answer, not a ``ShardError``."""
+        answer, not a ``ShardError``: ``method`` is one of the two
+        broadcast ops, which the reconstructed shard answers itself."""
         transport = self.transport
         if unit == LOGSTORE_UNIT:
             owners, spill = [self.logstore_server], self._ec is not None
@@ -702,7 +733,8 @@ class ReplicatedZipGCluster(ZipGCluster):
         except (ShardUnavailable, ReplicaCallError):
             if self._ec is None or unit == LOGSTORE_UNIT:
                 raise
-            return self._ec_degraded_op(unit, method, wire_args)
+            shard = self._ec_reconstructed_shard(unit)
+            return getattr(shard, method)(*wire_args)
 
     def _broadcast(self, title: str, method: str, wire_args: List,
                    merge: Callable, partial_results: bool, args_key=None):
@@ -771,15 +803,9 @@ class ReplicatedZipGCluster(ZipGCluster):
                      partial_results: bool = False):
         """All-shard node search with replica failover; see
         :meth:`_broadcast` for the ``partial_results`` contract."""
-        def merge(values):
-            result: set = set()
-            for hits in values:
-                result.update(hits)
-            return sorted(result)
-
         return self._broadcast(
             "get_node_ids", "find_live_nodes", [dict(property_list)],
-            merge, partial_results,
+            merge_node_hits, partial_results,
             args_key=tuple(sorted(property_list.items())),
         )
 
@@ -787,16 +813,9 @@ class ReplicatedZipGCluster(ZipGCluster):
     def find_edges(self, property_id: str, value: str,
                    partial_results: bool = False):
         """All-shard edge-property search with replica failover."""
-        def merge(values):
-            results = [hit for hits in values for hit in hits]
-            results.sort(key=lambda hit: (hit[0], hit[1],
-                                          hit[2].timestamp,
-                                          hit[2].destination))
-            return results
-
         return self._broadcast(
             "find_edges", "find_edges_by_property", [property_id, value],
-            merge, partial_results,
+            merge_edge_hits, partial_results,
             args_key=(property_id, value),
         )
 
@@ -818,3 +837,18 @@ class ReplicatedZipGCluster(ZipGCluster):
             lambda server: transport.call(server, "get_node_property",
                                           wire_args),
         )
+
+    # ------------------------------------------------------------------
+    # What this class does not route runs on the store
+    # ------------------------------------------------------------------
+    # Algorithms 1-3 run on the master's own store; update_node /
+    # update_edge stay the interface's delete + append on *this* object,
+    # so they replicate.
+
+    get_neighbor_ids = _on_store("get_neighbor_ids")
+    edge_count = _on_store("edge_count")
+    edges_from_index = _on_store("edges_from_index")
+    edges_in_time_range = _on_store("edges_in_time_range")
+    assoc_get = _on_store("assoc_get")
+    aggregate_stats = _on_store("aggregate_stats")
+    reset_stats = _on_store("reset_stats")

@@ -1,10 +1,11 @@
 """Simulated ZipG and Titan clusters for Figure 9 (§4.1, §5.3).
 
-:class:`SimulatedZipGCluster` is the serving
-:class:`~repro.cluster.cluster.ZipGCluster` plus per-server
-bookkeeping.  Because every shard meters its own storage touches, the
-set of servers a query touched is read directly off the per-shard
-counters -- no modeling guesswork.  Function shipping (Figure 4) makes
+:class:`SimulatedZipGCluster` runs each operation on the store and
+charges it to servers under ZipG's round-robin shard placement, with
+the LogStore on server 0 (§3.5).  It shares no code with the serving
+cluster.  Because every shard meters its own storage touches, the set
+of servers a query touched is read directly off the per-shard counters
+-- no modeling guesswork.  Function shipping (Figure 4) makes
 each remote step one *parallel* RPC fan-out, so a query's network
 latency is counted in round trips, not per-server messages.
 
@@ -25,7 +26,6 @@ from typing import Iterable, List, Set
 from repro import obs
 from repro.baselines.kvgraph import KVGraphStore
 from repro.bench.memory_model import CostModel
-from repro.cluster.cluster import ZipGCluster
 from repro.core.graph_store import ZipG, _hash_partition
 from repro.succinct.stats import AccessStats
 from repro.workloads.base import Operation
@@ -40,14 +40,26 @@ class Server:
     messages: int = 0
 
 
-class SimulatedZipGCluster(ZipGCluster):
+class SimulatedZipGCluster:
     """A ZipG deployment whose queries are charged to simulated servers."""
 
+    name = "zipg"
+    #: The dedicated LogStore server (§3.5).
+    logstore_server = 0
+
     def __init__(self, store: ZipG, num_servers: int):
-        super().__init__(store, num_servers)
+        if num_servers < 1:
+            raise ValueError("num_servers must be >= 1")
+        self.store = store
+        self.num_servers = num_servers
         self.servers = [Server(i) for i in range(num_servers)]
 
+    def server_of_shard(self, shard_id: int) -> int:
+        """Round-robin shard placement across the servers."""
+        return shard_id % self.num_servers
+
     def _snapshot(self) -> List[AccessStats]:
+        """One snapshot per shard, then the LogStore's last."""
         snaps = [shard.stats.snapshot() for shard in self.store.shards]
         snaps.append(self.store.logstore.stats.snapshot())
         return snaps
@@ -59,8 +71,9 @@ class SimulatedZipGCluster(ZipGCluster):
         footprint = self.store.storage_footprint_bytes()
         touched: Set[int] = set()
         shards = self.store.shards
+        num_before = len(before) - 1  # the last snapshot is the LogStore's
         for index, shard in enumerate(shards):
-            if index < len(before):
+            if index < num_before:
                 delta = shard.stats.delta_since(before[index])
             else:
                 delta = shard.stats.snapshot()  # shard born mid-run (freeze)
@@ -86,7 +99,7 @@ class SimulatedZipGCluster(ZipGCluster):
                       op=type(operation).__name__):
             before = self._snapshot()
             total_before = self.store.aggregate_stats().snapshot()
-            operation.run(self)
+            operation.run(self.store)
             touched = self._attribute(before, cost_model, budget_total)
             delta = self.store.aggregate_stats().delta_since(total_before)
             footprint = self.store.storage_footprint_bytes()

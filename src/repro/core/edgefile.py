@@ -25,8 +25,8 @@ from __future__ import annotations
 
 # zipg: hot-path
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from repro.core.errors import EdgeRecordNotFound
 from repro.core.model import Edge, EdgeData
 from repro.succinct.stats import AccessStats
 
+if TYPE_CHECKING:
+    from repro.core.deletes import DeletionIndex
+
 _METADATA_PROBE_BYTES = 48  # covers typical header + metadata fields
 _METADATA_PROBE_MAX = 256  # fallback for records with huge ids/counts
 
@@ -58,6 +61,9 @@ class EdgeRecordFragment:
 
     Produced by :meth:`EdgeFile.find_record`; all edge data is read
     lazily from the compressed file through the accessor methods.
+    ``deletions`` is the owning shard's deletion bitmap, which
+    :class:`~repro.core.shard.CompressedShard` sets on every fragment
+    it hands out; without one (a bare EdgeFile) every edge is live.
     """
 
     edge_file: "EdgeFile"
@@ -69,6 +75,9 @@ class EdgeRecordFragment:
     plen_width: int
     base_edge_index: int
     timestamps_offset: int
+    deletions: Optional["DeletionIndex"] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def destinations_offset(self) -> int:
@@ -205,6 +214,28 @@ class EdgeRecordFragment:
         )
         return _split_ints(raw, self.timestamp_width, self.edge_count)
 
+    # ------------------------------------------------------------------
+    # Lazy deletes (the owning shard's edge bitmap, §3.5)
+    # ------------------------------------------------------------------
+
+    def deleted(self, time_order: int) -> bool:
+        """Whether the edge at ``time_order`` is lazily deleted."""
+        deletions = self.deletions
+        return deletions is not None and deletions.edge_deleted(
+            self.base_edge_index + time_order
+        )
+
+    def deleted_count(self) -> int:
+        """Number of this record's edges that are lazily deleted."""
+        if self.deletions is None:
+            return 0
+        base = self.base_edge_index
+        return self.deletions.deleted_edges_between(base, base + self.edge_count)
+
+    def mark_deleted(self, time_order: int) -> None:
+        """Lazily delete the edge at ``time_order`` in the shard's bitmap."""
+        self.deletions.delete_edge(self.base_edge_index + time_order)
+
 
 class EdgeFile:
     """Compressed edge store for one shard.
@@ -215,8 +246,6 @@ class EdgeFile:
         delimiters: the graph-wide delimiter map (edge properties use
             the same delimiter space as node properties).
         alpha: Succinct sampling rate.
-        base_edge_index: first edge's index in the shard-wide edge
-            numbering (for the deletion bitmap).
         stats: optional shared access meter.
     """
 
@@ -225,7 +254,6 @@ class EdgeFile:
         edges: Dict[Tuple[int, int], Iterable[Edge]],
         delimiters: DelimiterMap,
         alpha: int = 32,
-        base_edge_index: int = 0,
         stats: Optional[AccessStats] = None,
         width_policy: str = "per-record",
         encoding: str = "succinct",
@@ -244,7 +272,7 @@ class EdgeFile:
             self._global_widths = (twidth, dwidth)
         buffer = bytearray()
         record_offsets: List[int] = []
-        next_base = base_edge_index
+        next_base = 0
         for (source, edge_type) in sorted(edges):
             bucket = sorted(
                 edges[(source, edge_type)], key=lambda e: (e.timestamp, e.destination)
@@ -253,7 +281,7 @@ class EdgeFile:
             buffer.extend(self._serialize_record(source, edge_type, bucket, next_base))
             next_base += len(bucket)
         self._record_offsets = np.asarray(record_offsets, dtype=np.int64)
-        self._num_edges = next_base - base_edge_index
+        self._num_edges = next_base
         from repro.succinct.encodings import build_flat_file
 
         self._file = build_flat_file(

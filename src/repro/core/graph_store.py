@@ -24,7 +24,8 @@ import bisect
 import threading
 import weakref
 from typing import (
-    Callable, Dict, List, Optional, Sequence, Set, Tuple, Type, TypeVar, Union,
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type,
+    TypeVar, Union,
 )
 
 from repro import obs
@@ -67,6 +68,27 @@ def _publish_store_metrics(store: "ZipG") -> None:
         return metrics
 
     obs.get_registry().register_collector(_collect)
+
+
+def merge_node_hits(hits_per_unit: Iterable[List[int]]) -> List[int]:
+    """One node search's answer from its per-unit hits (LogStore and
+    shards): the sorted union.  The store's own search and the
+    cluster's broadcast both merge through it."""
+    result: set = set()
+    for hits in hits_per_unit:
+        result.update(hits)
+    return sorted(result)
+
+
+def merge_edge_hits(
+    hits_per_unit: Iterable[List[Tuple[int, int, EdgeData]]]
+) -> List[Tuple[int, int, EdgeData]]:
+    """One edge-property search's answer from its per-unit hits: every
+    ``(source, edge_type, EdgeData)`` hit, sorted by (source,
+    edge_type, timestamp, destination)."""
+    results = [hit for hits in hits_per_unit for hit in hits]
+    results.sort(key=lambda hit: (hit[0], hit[1], hit[2].timestamp, hit[2].destination))
+    return results
 
 
 class EdgeRecord:
@@ -554,13 +576,9 @@ class ZipG(GraphStoreInterface):
     # zipg: span-free  (always runs under get_node_ids's span)
     def _search_nodes(self, property_list: PropertyList) -> List[int]:
         locations: List = [self._logstore] + self._shards
-        hits = self.executor.map(
+        return merge_node_hits(self.executor.map(
             lambda location: location.find_live_nodes(property_list), locations
-        )
-        result: set = set()
-        for shard_hits in hits:
-            result.update(shard_hits)
-        return sorted(result)
+        ))
 
     @obs.traced("graph_store.get_neighbor_ids", layer="graph_store")
     def get_neighbor_ids(
@@ -739,13 +757,10 @@ class ZipG(GraphStoreInterface):
         self, property_id: str, value: str
     ) -> List[Tuple[int, int, EdgeData]]:
         locations: List = self._shards + [self._logstore]
-        hits = self.executor.map(
+        return merge_edge_hits(self.executor.map(
             lambda location: location.find_edges_by_property(property_id, value),
             locations,
-        )
-        results = [hit for shard_hits in hits for hit in shard_hits]
-        results.sort(key=lambda hit: (hit[0], hit[1], hit[2].timestamp, hit[2].destination))
-        return results
+        ))
 
     # ------------------------------------------------------------------
     # Updates (Table 1)
@@ -959,7 +974,9 @@ class ZipG(GraphStoreInterface):
                 self._table(source).promote_edge_active(source, edge_type, shard_id)
         for table in self._pointer_tables:
             table.drop_active()
-        self._logstore = LogStore()
+        # The fresh LogStore keeps the old one's meter, so the store's
+        # access counters never go backwards at a freeze.
+        self._logstore = LogStore(stats=self._logstore.stats)
         self.freeze_count += 1
         return new_shard
 
@@ -994,12 +1011,18 @@ class ZipG(GraphStoreInterface):
 
         new_shard_id = self._num_initial
         new_shards = self._shards[: self._num_initial]
+        # The dropped shards' meters fold into whatever survives them,
+        # so the store's access counters never go backwards here either.
+        heir = self._logstore.stats
         if merged_nodes or merged_edges:
             merged_shard = CompressedShard(
                 new_shard_id, merged_nodes, merged_edges, self._delimiters,
                 alpha=self._alpha, encoding=self.encoding,
             )
             new_shards.append(merged_shard)
+            heir = merged_shard.stats
+        for shard in frozen:
+            heir.merge(shard.stats)
         reclaimed = len(self._shards) - len(new_shards)
         self._shards = new_shards
 

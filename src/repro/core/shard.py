@@ -20,63 +20,6 @@ from repro.core.model import Edge, EdgeData, PropertyList
 from repro.succinct.stats import AccessStats
 
 
-class ShardEdgeFragment:
-    """An EdgeRecord fragment in a compressed shard, with the shard's
-    edge deletion bitmap applied on access."""
-
-    def __init__(
-        self, shard: "CompressedShard", fragment: EdgeRecordFragment
-    ) -> None:
-        self._shard = shard
-        self._fragment = fragment
-        self.source = fragment.source
-        self.edge_type = fragment.edge_type
-
-    @property
-    def edge_count(self) -> int:
-        return self._fragment.edge_count
-
-    def timestamp_at(self, time_order: int) -> int:
-        return self._fragment.timestamp_at(time_order)
-
-    def destination_at(self, time_order: int) -> int:
-        return self._fragment.destination_at(time_order)
-
-    def properties_at(self, time_order: int) -> PropertyList:
-        return self._fragment.properties_at(time_order)
-
-    def edge_data_at(self, time_order: int, with_properties: bool = True) -> EdgeData:
-        return self._fragment.edge_data_at(time_order, with_properties)
-
-    def edge_data_range(
-        self, begin: int, end: int, with_properties: bool = True
-    ) -> List[EdgeData]:
-        return self._fragment.edge_data_range(begin, end, with_properties)
-
-    def time_range(self, t_low: Optional[int], t_high: Optional[int]) -> Tuple[int, int]:
-        return self._fragment.time_range(t_low, t_high)
-
-    def all_destinations(self) -> List[int]:
-        return self._fragment.all_destinations()
-
-    def all_timestamps(self) -> List[int]:
-        return self._fragment.all_timestamps()
-
-    def deleted(self, time_order: int) -> bool:
-        return self._shard.deletions.edge_deleted(
-            self._fragment.base_edge_index + time_order
-        )
-
-    def deleted_count(self) -> int:
-        base = self._fragment.base_edge_index
-        return self._shard.deletions.deleted_edges_between(
-            base, base + self._fragment.edge_count
-        )
-
-    def mark_deleted(self, time_order: int) -> None:
-        self._shard.deletions.delete_edge(self._fragment.base_edge_index + time_order)
-
-
 class CompressedShard:
     """One immutable compressed shard plus its mutable deletion bitmaps.
 
@@ -86,7 +29,6 @@ class CompressedShard:
         edges: (source, edge_type) -> edges owned by this shard.
         delimiters: graph-wide delimiter map.
         alpha: Succinct sampling rate.
-        stats: optional shared access meter (one per simulated server).
         encoding: flat-file codec tag for both files (see
             :mod:`repro.succinct.encodings`).
     """
@@ -98,13 +40,12 @@ class CompressedShard:
         edges: Dict[Tuple[int, int], Iterable[Edge]],
         delimiters: DelimiterMap,
         alpha: int = 32,
-        stats: Optional[AccessStats] = None,
         encoding: str = "succinct",
     ) -> None:
         from repro.core.nodefile import NodeFile  # local import: avoid cycle at module load
 
         self.shard_id = shard_id
-        self.stats = stats if stats is not None else AccessStats()
+        self.stats = AccessStats()
         self.node_file = NodeFile(
             nodes, delimiters, alpha=alpha, stats=self.stats, encoding=encoding
         )
@@ -159,23 +100,26 @@ class CompressedShard:
     # Edges
     # ------------------------------------------------------------------
 
-    def edge_fragment(self, source: int, edge_type: int) -> Optional[ShardEdgeFragment]:
+    # Every EdgeRecordFragment this shard hands out or reads carries
+    # the shard's edge deletion bitmap.
+
+    def edge_fragment(self, source: int, edge_type: int) -> Optional[EdgeRecordFragment]:
         fragment = self.edge_file.find_record(source, edge_type)
-        if fragment is None:
-            return None
-        return ShardEdgeFragment(self, fragment)
+        if fragment is not None:
+            fragment.deletions = self.deletions
+        return fragment
 
-    def edge_fragments(self, source: int) -> List[ShardEdgeFragment]:
-        return [
-            ShardEdgeFragment(self, fragment)
-            for fragment in self.edge_file.find_records(source)
-        ]
+    def edge_fragments(self, source: int) -> List[EdgeRecordFragment]:
+        fragments = self.edge_file.find_records(source)
+        for fragment in fragments:
+            fragment.deletions = self.deletions
+        return fragments
 
-    def fragments_of_type(self, edge_type: int) -> List[ShardEdgeFragment]:
-        return [
-            ShardEdgeFragment(self, fragment)
-            for fragment in self.edge_file.records_of_type(edge_type)
-        ]
+    def fragments_of_type(self, edge_type: int) -> List[EdgeRecordFragment]:
+        fragments = self.edge_file.records_of_type(edge_type)
+        for fragment in fragments:
+            fragment.deletions = self.deletions
+        return fragments
 
     # zipg: scalar-ok  (one decode per verified search hit)
     def find_edges_by_property(
@@ -190,7 +134,8 @@ class CompressedShard:
             for fragment, time_order in self.edge_file.find_edges_by_property(
                 property_id, value
             ):
-                if self.deletions.edge_deleted(fragment.base_edge_index + time_order):
+                fragment.deletions = self.deletions
+                if fragment.deleted(time_order):
                     continue
                 results.append(
                     (fragment.source, fragment.edge_type,
@@ -242,8 +187,7 @@ class CompressedShard:
         return pack_sections(self.sections())
 
     @classmethod
-    def from_bytes(cls, blob: bytes, delimiters: DelimiterMap,
-                   stats: Optional[AccessStats] = None) -> "CompressedShard":
+    def from_bytes(cls, blob: bytes, delimiters: DelimiterMap) -> "CompressedShard":
         """Reconstruct a shard serialized with :meth:`to_bytes` -- no
         recompression, matching the paper's load-serialized-files model.
 
@@ -261,7 +205,7 @@ class CompressedShard:
         shard_id, num_nodes, num_edges = unpack_ints(sections["meta"])
         instance = cls.__new__(cls)
         instance.shard_id = shard_id
-        instance.stats = stats if stats is not None else AccessStats()
+        instance.stats = AccessStats()
         instance.node_file = NodeFile.from_bytes(
             sections["node_file"], delimiters, stats=instance.stats
         )
@@ -292,6 +236,7 @@ class CompressedShard:
         edges: Dict[Tuple[int, int], List[Edge]] = {}
         for offset in self.edge_file._record_offsets.tolist():
             fragment = self.edge_file._parse_record_at(int(offset))
+            fragment.deletions = self.deletions
             # One range read for the whole record instead of per-edge
             # random accesses (the batched decode path).
             live: List[Edge] = [
@@ -300,7 +245,7 @@ class CompressedShard:
                 for order, data in enumerate(
                     fragment.edge_data_range(0, fragment.edge_count)
                 )
-                if not self.deletions.edge_deleted(fragment.base_edge_index + order)
+                if not fragment.deleted(order)
             ]
             if live:
                 edges[(fragment.source, fragment.edge_type)] = live

@@ -2,7 +2,7 @@
 
 One :class:`GatewayService` fronts a backend -- a remote
 :class:`~repro.server.client.ZipGClient` or a local
-:class:`~repro.cluster.cluster.ZipGCluster` -- and calls it as
+:class:`~repro.cluster.replication.ReplicatedZipGCluster` -- and calls it as
 ``getattr(backend, method)(*args, **kwargs)``; the service never knows
 which.  A request runs to completion on the thread that called
 :meth:`GatewayService.handle` (in a served gateway, the connection

@@ -93,16 +93,6 @@ def _ping(ctx: _Context) -> str:
     return "pong"
 
 
-@_op("shard_inventory")
-def _shard_inventory(ctx: _Context) -> Dict[str, object]:
-    """What this server holds (master handshake / diagnostics)."""
-    return {
-        "shards": [shard.shard_id for shard in ctx.store.shards],
-        "epoch": ctx.store.epoch.value,
-        "freeze_count": ctx.store.freeze_count,
-    }
-
-
 @_op("find_live_nodes")
 def _find_live_nodes(ctx: _Context, property_list: Dict[str, str]) -> List[int]:
     """Node search on one unit (the broadcast fan-out's per-unit op)."""

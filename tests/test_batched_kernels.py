@@ -223,7 +223,7 @@ class TestShardExecutor:
         ] == expected_edges
 
     def test_broadcasts_spawn_no_shard_threads(self):
-        from repro.cluster import ReplicatedZipGCluster, ZipGCluster
+        from repro.cluster import ReplicatedZipGCluster
 
         graph = GraphData()
         for node_id in range(12):
@@ -231,7 +231,8 @@ class TestShardExecutor:
             graph.add_edge(node_id, (node_id + 1) % 12, 0, node_id, {"w": "1"})
         store = ZipG.compress(graph, num_shards=4, alpha=4)
         replicated = ReplicatedZipGCluster(store, num_servers=2)
-        for target in (store, ZipGCluster(store, num_servers=2), replicated):
+        placed = ReplicatedZipGCluster(store, num_servers=2, replication_factor=1)
+        for target in (store, placed, replicated):
             assert target.get_node_ids({"city": "Ithaca"}) == list(range(12))
         for target in (store, replicated):
             assert len(target.find_edges("w", "1")) == 12

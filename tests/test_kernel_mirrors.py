@@ -22,6 +22,7 @@ from repro import obs
 from repro.bench.systems import ZipGSystem
 from repro.core import GraphData, ZipG
 from repro.core.delimiters import DelimiterMap
+from repro.core.edgefile import EdgeFile
 from repro.core.model import Edge, EdgeData
 from repro.core.persistence import load_store, save_store
 from repro.core.shard import CompressedShard
@@ -200,6 +201,15 @@ def test_deleted_count_equals_naive_count(data):
         fragment = data.draw(st.sampled_from(fragments))
         fragment.mark_deleted(data.draw(st.integers(0, fragment.edge_count - 1)))
         check()  # each delete lands after the directory was built
+
+
+def test_bare_edgefile_fragment_reads_live():
+    """Without a shard's deletion bitmap every edge is live."""
+    edges = {(7, 0): [Edge(7, d, 0, 100 + d) for d in range(5)]}
+    fragment = EdgeFile(edges, DelimiterMap([]), alpha=4).find_record(7, 0)
+    assert fragment.deletions is None
+    assert fragment.deleted_count() == 0
+    assert not any(fragment.deleted(i) for i in range(fragment.edge_count))
 
 
 # ----------------------------------------------------------------------

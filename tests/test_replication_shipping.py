@@ -6,7 +6,6 @@ from repro.cluster import (
     FunctionShippingAggregator,
     ReplicatedZipGCluster,
     ShardUnavailable,
-    ZipGCluster,
 )
 from repro.core import ZipG
 from repro.workloads.graphs import social_graph
@@ -91,7 +90,7 @@ class TestFunctionShipping:
     @pytest.fixture(scope="class")
     def setting(self):
         store, graph = build_store()
-        cluster = ZipGCluster(store, num_servers=4)
+        cluster = ReplicatedZipGCluster(store, num_servers=4, replication_factor=1)
         return cluster, graph, FunctionShippingAggregator(cluster)
 
     def test_result_matches_direct_execution(self, setting):
@@ -148,7 +147,7 @@ class TestDistributedRPQ:
         from repro.workloads.rpq import PathQuery, RPQEngine
 
         store, graph = build_store()
-        cluster = ZipGCluster(store, num_servers=4)
+        cluster = ReplicatedZipGCluster(store, num_servers=4, replication_factor=1)
         seeds = graph.node_ids()[:10]
         query = PathQuery("q", "0/1")
         cluster_result = RPQEngine(cluster, graph.node_ids()).evaluate(

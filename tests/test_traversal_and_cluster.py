@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench.memory_model import CostModel
 from repro.bench.systems import build_system
-from repro.cluster import ZipGCluster
+from repro.cluster import ReplicatedZipGCluster
 from repro.cluster.sim import SimulatedZipGCluster, TitanCluster, run_distributed_workload
 from repro.core import GraphData, ZipG
 from repro.workloads import TAOWorkload, bfs_traversal
@@ -66,7 +66,7 @@ class TestZipGCluster:
     def test_shard_placement_round_robin(self, cluster_graph, extra_ids):
         store = ZipG.compress(cluster_graph, num_shards=8, alpha=8,
                               extra_property_ids=extra_ids)
-        cluster = ZipGCluster(store, num_servers=4)
+        cluster = ReplicatedZipGCluster(store, num_servers=4, replication_factor=1)
         assert cluster.server_of_shard(0) == 0
         assert cluster.server_of_shard(5) == 1
         # The serving cluster carries none of the simulator's state.
@@ -77,7 +77,7 @@ class TestZipGCluster:
         store = ZipG.compress(cluster_graph, num_shards=2, alpha=8,
                               extra_property_ids=extra_ids)
         with pytest.raises(ValueError):
-            ZipGCluster(store, num_servers=0)
+            ReplicatedZipGCluster(store, num_servers=0)
 
     def test_distributed_run_produces_result(self, cluster_graph, extra_ids):
         store = ZipG.compress(cluster_graph, num_shards=8, alpha=8,
